@@ -233,11 +233,20 @@ ctest --test-dir build --output-on-failure
 
 # Smoke every registered experiment. The list is asked from the registry
 # itself (not hard-coded), so a new experiments/*.cpp file is covered here
-# automatically. Artifacts land in out/ (gitignored).
+# automatically. Each runs at --jobs 2 into out/ and at --jobs 1 into
+# out/jobs1/ (both gitignored), and the two artifact sets must match byte
+# for byte: a seed fan-out that leaks into results fails here.
+rm -rf out/jobs1
+mkdir -p out/jobs1
 for exp in $(./build/bmrun list --names); do
-  ./build/bmrun run "$exp" --seeds 10 --jobs 2 --out-dir out > /dev/null \
-    && echo "ok  $exp"
+  ./build/bmrun run "$exp" --seeds 10 --jobs 2 --out-dir out > /dev/null
+  ./build/bmrun run "$exp" --seeds 10 --jobs 1 --out-dir out/jobs1 > /dev/null
+  echo "ok  $exp"
 done
+for f in out/jobs1/*; do
+  cmp "$f" "out/$(basename "$f")"
+done
+echo "ok  experiment artifacts identical at --jobs 1 and --jobs 2"
 
 # Smoke the microbench binaries (one rep, throwaway output). The committed
 # BENCH_*.json baselines are NOT written here: they only come from the
@@ -273,8 +282,8 @@ if [[ "$verify_smoke" -eq 1 ]]; then
   echo "ok  bmverify gen --mutate-drop (race + witness reported)"
   ./build/bmverify selftest --mutations 60 > /dev/null \
     && echo "ok  bmverify selftest (60 mutations)"
-  ./build/bmrun run headline --seeds 3 --jobs 2 --verify --out-dir out \
-      > /dev/null && echo "ok  bmrun --verify"
+  ./build/bmrun run headline control_flow --seeds 3 --jobs 2 --verify \
+      --out-dir out > /dev/null && echo "ok  bmrun --verify"
 fi
 
 if [[ "$serve_smoke" -eq 1 ]]; then

@@ -1,5 +1,6 @@
 #include "cfg/cfg_sched.hpp"
 
+#include "support/assert.hpp"
 #include "vliw/vliw.hpp"
 
 namespace bm {
@@ -37,20 +38,43 @@ CfgScheduleResult schedule_cfg(const CfgProgram& cfg,
   return out;
 }
 
+namespace {
+
+/// Running lockstep bound: each block costs its VLIW makespan once per
+/// worst-case execution, and every non-exit execution one control transfer.
+struct LockstepBound {
+  Time total = 0;
+  std::size_t transfers = 0;
+
+  void add_block(const BasicBlock& b, const InstrDag& dag, std::size_t procs) {
+    total += schedule_vliw(dag, procs).makespan *
+             static_cast<Time>(b.max_executions);
+    if (b.term != BasicBlock::Terminator::kExit) transfers += b.max_executions;
+  }
+  Time with_overhead(Time control_overhead) const {
+    return total + control_overhead * static_cast<Time>(transfers);
+  }
+};
+
+}  // namespace
+
 Time vliw_cfg_worst_case(const CfgProgram& cfg, std::size_t procs,
                          const TimingModel& timing, Time control_overhead) {
   cfg.validate();
-  Time total = 0;
-  std::size_t worst_case_transfers = 0;
-  for (BlockId id = 0; id < cfg.size(); ++id) {
-    const BasicBlock& b = cfg.block(id);
-    const InstrDag dag = InstrDag::build(b.body, timing);
-    const VliwSchedule v = schedule_vliw(dag, procs);
-    total += v.makespan * static_cast<Time>(b.max_executions);
-    if (b.term != BasicBlock::Terminator::kExit)
-      worst_case_transfers += b.max_executions;
-  }
-  return total + control_overhead * static_cast<Time>(worst_case_transfers);
+  LockstepBound bound;
+  for (BlockId id = 0; id < cfg.size(); ++id)
+    bound.add_block(cfg.block(id),
+                    InstrDag::build(cfg.block(id).body, timing), procs);
+  return bound.with_overhead(control_overhead);
+}
+
+Time vliw_cfg_worst_case(const CfgScheduleResult& sched, std::size_t procs,
+                         Time control_overhead) {
+  BM_REQUIRE(sched.cfg != nullptr, "CfgScheduleResult has no program");
+  LockstepBound bound;
+  for (BlockId id = 0; id < sched.cfg->size(); ++id)
+    bound.add_block(sched.cfg->block(id), *sched.blocks[id].dag, procs);
+  return bound.with_overhead(control_overhead);
 }
 
 }  // namespace bm

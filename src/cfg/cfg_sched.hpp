@@ -46,4 +46,10 @@ CfgScheduleResult schedule_cfg(const CfgProgram& cfg,
 Time vliw_cfg_worst_case(const CfgProgram& cfg, std::size_t procs,
                          const TimingModel& timing, Time control_overhead);
 
+/// The same bound over the DAGs `schedule_cfg` already built (at the timing
+/// model it was given), so no block's DAG is built twice. Equal to the
+/// CfgProgram form at that timing model.
+Time vliw_cfg_worst_case(const CfgScheduleResult& sched, std::size_t procs,
+                         Time control_overhead);
+
 }  // namespace bm

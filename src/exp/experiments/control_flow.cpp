@@ -33,6 +33,54 @@ Experiment make_control_flow() {
     gen.max_depth = 2;
     const SchedulerConfig sc = ctx.scheduler_config();
 
+    // One task per (max-trip, seed) pair, so the heavy high-trip seeds
+    // balance across workers and the whole sweep shares one pool.
+    struct SeedResult {
+      double blocks = 0, barrier_frac = 0, vliw_bound = 0;
+      double mean_compl = 0, worst_path = 0;
+      VerifyTally verify;
+    };
+    const std::size_t n = opt.seeds;
+    const std::vector<SeedResult> results =
+        fan_out_seeds(opt, sweep.values.size() * n, [&](std::size_t k) {
+          const std::size_t ti = k / n, i = k % n;
+          CfgGeneratorConfig g = gen;
+          g.max_trip = static_cast<std::int64_t>(sweep.values[ti]);
+          Rng rng = benchmark_rng(opt.base_seed, i);
+          const CfgProgram cfg = generate_cfg(g, rng);
+          const CfgScheduleResult s =
+              schedule_cfg(cfg, sc, TimingModel::table1(), rng);
+          SeedResult r;
+          r.blocks = static_cast<double>(cfg.size());
+          r.barrier_frac = s.barrier_fraction();
+          r.vliw_bound =
+              static_cast<double>(vliw_cfg_worst_case(s, sc.num_procs, 1));
+          if (opt.verify) {
+            for (BlockId b = 0; b < cfg.size(); ++b)
+              r.verify.verify(*s.blocks[b].dag, *s.blocks[b].result.schedule,
+                              "[max-trip " + sweep.label(ti) + " seed " +
+                                  std::to_string(i) + " block " +
+                                  std::to_string(b) + "]");
+          }
+          double total = 0;
+          Time worst = 0;
+          for (int run = 0; run < 5; ++run) {
+            std::vector<std::int64_t> memory(cfg.num_vars());
+            for (auto& m : memory) m = rng.uniform(-100, 100);
+            const CfgExecResult x = run_cfg(s, CfgSimConfig{}, memory, rng);
+            total += static_cast<double>(x.completion);
+            CfgSimConfig hi;
+            hi.sampling = SamplingMode::kAllMax;
+            worst = std::max(worst, run_cfg(s, hi, memory, rng).completion);
+          }
+          r.mean_compl = total / 5.0;
+          r.worst_path = static_cast<double>(worst);
+          return r;
+        });
+    VerifyTally verify;
+    for (const SeedResult& r : results) verify.merge(r.verify);
+    verify.throw_if_failed();
+
     TextTable table({"max trip T", "blocks", "barrier mean compl",
                      "barrier worst path", "VLIW lockstep bound",
                      "bound / mean", "barrier frac"});
@@ -41,30 +89,14 @@ Experiment make_control_flow() {
     csv.write_row({"max_trip", "mean_completion", "worst_path", "vliw_bound",
                    "ratio"});
     for (std::size_t ti = 0; ti < sweep.values.size(); ++ti) {
-      gen.max_trip = static_cast<std::int64_t>(sweep.values[ti]);
       RunningStats mean_compl, worst_path, vliw_bound, blocks, barrier_frac;
-      for (std::size_t i = 0; i < opt.seeds; ++i) {
-        Rng rng = benchmark_rng(opt.base_seed, i);
-        const CfgProgram cfg = generate_cfg(gen, rng);
-        const CfgScheduleResult s =
-            schedule_cfg(cfg, sc, TimingModel::table1(), rng);
-        blocks.add(static_cast<double>(cfg.size()));
-        barrier_frac.add(s.barrier_fraction());
-        vliw_bound.add(static_cast<double>(
-            vliw_cfg_worst_case(cfg, sc.num_procs, TimingModel::table1(), 1)));
-        double total = 0;
-        Time worst = 0;
-        for (int run = 0; run < 5; ++run) {
-          std::vector<std::int64_t> memory(cfg.num_vars());
-          for (auto& m : memory) m = rng.uniform(-100, 100);
-          const CfgExecResult r = run_cfg(s, CfgSimConfig{}, memory, rng);
-          total += static_cast<double>(r.completion);
-          CfgSimConfig hi;
-          hi.sampling = SamplingMode::kAllMax;
-          worst = std::max(worst, run_cfg(s, hi, memory, rng).completion);
-        }
-        mean_compl.add(total / 5.0);
-        worst_path.add(static_cast<double>(worst));
+      for (std::size_t i = 0; i < n; ++i) {
+        const SeedResult& r = results[ti * n + i];
+        blocks.add(r.blocks);
+        barrier_frac.add(r.barrier_frac);
+        vliw_bound.add(r.vliw_bound);
+        mean_compl.add(r.mean_compl);
+        worst_path.add(r.worst_path);
       }
       const double ratio = vliw_bound.mean() / mean_compl.mean();
       table.add_row({sweep.label(ti), TextTable::num(blocks.mean(), 1),

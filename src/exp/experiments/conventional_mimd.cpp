@@ -38,42 +38,56 @@ Experiment make_conventional_mimd() {
     csv.write_row({"max_latency", "mimd_syncs", "reduced_syncs", "barriers",
                    "mimd_completion", "reduced_completion", "sbm_completion",
                    "sbm_speedup"});
+    // Re-run the same seeds for both conventional-MIMD executions: the full
+    // directed-sync set, and the [Shaf89] transitive reduction the paper
+    // compares its timing-based approach against (§3). One task per
+    // (latency, seed) pair, all in one pool.
+    struct DirectedResult {
+      double mimd_syncs = 0, reduced_syncs = 0;
+      double mimd_compl = 0, reduced_compl = 0;
+    };
+    const std::size_t n = opt.seeds;
+    const std::vector<DirectedResult> directed =
+        fan_out_seeds(opt, sweep.values.size() * n, [&](std::size_t k) {
+          DirectedSyncConfig mimd_cfg;
+          mimd_cfg.latency = {1, static_cast<Time>(sweep.values[k / n])};
+          Rng rng = benchmark_rng(opt.base_seed, k % n);
+          const SynthesisResult s = synthesize_benchmark(gen, rng);
+          const InstrDag dag =
+              InstrDag::build(s.program, TimingModel::table1());
+          const ScheduleResult r = schedule_program(dag, cfg, rng);
+          const SyncReduction red = reduce_directed_syncs(*r.schedule);
+          double total_full = 0, total_reduced = 0;
+          std::size_t syncs = 0;
+          for (int run = 0; run < 5; ++run) {
+            const DirectedSyncResult full =
+                simulate_directed(*r.schedule, mimd_cfg, rng);
+            total_full += static_cast<double>(full.trace.completion);
+            syncs = full.runtime_syncs;
+            const DirectedSyncResult reduced =
+                simulate_directed(*r.schedule, mimd_cfg, rng, red.kept);
+            total_reduced += static_cast<double>(reduced.trace.completion);
+          }
+          return DirectedResult{static_cast<double>(syncs),
+                                static_cast<double>(red.retained),
+                                total_full / 5.0, total_reduced / 5.0};
+        });
+
     for (std::size_t li = 0; li < sweep.values.size(); ++li) {
-      const Time max_latency = static_cast<Time>(sweep.values[li]);
       RunningStats mimd_syncs, reduced_syncs, barriers;
       RunningStats mimd_compl, reduced_compl, sbm_compl;
-      DirectedSyncConfig mimd_cfg;
-      mimd_cfg.latency = {1, max_latency};
       RunOptions o = opt;
       o.sim_runs = 5;
       run_point(gen, cfg, o, [&](const BenchmarkOutcome& outcome) {
         barriers.add(static_cast<double>(outcome.stats.barriers_final));
         sbm_compl.add(outcome.barrier_completion.mean);
       });
-      // Re-run the same seeds for both conventional-MIMD executions: the
-      // full directed-sync set, and the [Shaf89] transitive reduction the
-      // paper compares its timing-based approach against (§3).
-      for (std::size_t i = 0; i < opt.seeds; ++i) {
-        Rng rng = benchmark_rng(opt.base_seed, i);
-        const SynthesisResult s = synthesize_benchmark(gen, rng);
-        const InstrDag dag = InstrDag::build(s.program, TimingModel::table1());
-        const ScheduleResult r = schedule_program(dag, cfg, rng);
-        const SyncReduction red = reduce_directed_syncs(*r.schedule);
-        reduced_syncs.add(static_cast<double>(red.retained));
-        double total_full = 0, total_reduced = 0;
-        std::size_t syncs = 0;
-        for (int run = 0; run < 5; ++run) {
-          const DirectedSyncResult full =
-              simulate_directed(*r.schedule, mimd_cfg, rng);
-          total_full += static_cast<double>(full.trace.completion);
-          syncs = full.runtime_syncs;
-          const DirectedSyncResult reduced =
-              simulate_directed(*r.schedule, mimd_cfg, rng, red.kept);
-          total_reduced += static_cast<double>(reduced.trace.completion);
-        }
-        mimd_compl.add(total_full / 5.0);
-        reduced_compl.add(total_reduced / 5.0);
-        mimd_syncs.add(static_cast<double>(syncs));
+      for (std::size_t i = 0; i < n; ++i) {
+        const DirectedResult& d = directed[li * n + i];
+        reduced_syncs.add(d.reduced_syncs);
+        mimd_compl.add(d.mimd_compl);
+        reduced_compl.add(d.reduced_compl);
+        mimd_syncs.add(d.mimd_syncs);
       }
       const double speedup = mimd_compl.mean() / sbm_compl.mean();
       table.add_row({"[1," + sweep.label(li) + "]",

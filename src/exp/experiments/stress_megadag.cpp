@@ -85,6 +85,9 @@ Experiment make_stress_megadag() {
     CsvWriter csv(path);
     csv.write_row({"seed", "stmts", "sync_edges", "tcr_min", "tcr_max",
                    "h_max_sum", "order_digest", "vliw_makespan"});
+    // The one experiment that stays serial whatever --jobs says: it times
+    // its own phases, and concurrent mega-DAGs would contend for cores and
+    // memory bandwidth and distort those times.
     for (std::size_t i = 0; i < opt.seeds; ++i) {
       Rng rng = benchmark_rng(opt.base_seed, i);
       const auto t0 = Clock::now();

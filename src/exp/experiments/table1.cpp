@@ -1,7 +1,7 @@
 // Table 1: instruction frequencies and execution-time ranges, measured on
 // a large corpus of synthetic blocks against the published
 // Alexander–Wortman frequencies.
-#include <map>
+#include <array>
 
 #include "codegen/synthesize.hpp"
 #include "exp/registry.hpp"
@@ -27,19 +27,31 @@ Experiment make_table1() {
     const RunOptions opt = ctx.run_options();
     const GeneratorConfig gen = ctx.generator_config();
 
-    std::map<Opcode, std::size_t> source_ops;   // statement operations
-    std::map<Opcode, std::size_t> emitted_ops;  // optimized tuple opcodes
+    // Per-opcode counts: source statement operations and optimized tuple
+    // opcodes, one pair per seed, summed in seed order.
+    using OpCounts = std::array<std::size_t, kNumOpcodes>;
+    struct SeedResult {
+      OpCounts source{}, emitted{};
+    };
+    const std::vector<SeedResult> results =
+        fan_out_seeds(opt, opt.seeds, [&](std::size_t i) {
+          Rng rng = benchmark_rng(opt.base_seed, i);
+          const SynthesisResult r = synthesize_benchmark(gen, rng);
+          SeedResult out;
+          for (const Assign& s : r.statements)
+            ++out.source[static_cast<std::size_t>(s.op)];
+          for (const Tuple& t : r.program.tuples())
+            ++out.emitted[static_cast<std::size_t>(t.op)];
+          return out;
+        });
+    OpCounts source_ops{}, emitted_ops{};
     std::size_t source_total = 0, emitted_total = 0;
-    for (std::size_t i = 0; i < opt.seeds; ++i) {
-      Rng rng = benchmark_rng(opt.base_seed, i);
-      const SynthesisResult r = synthesize_benchmark(gen, rng);
-      for (const Assign& s : r.statements) {
-        ++source_ops[s.op];
-        ++source_total;
-      }
-      for (const Tuple& t : r.program.tuples()) {
-        ++emitted_ops[t.op];
-        ++emitted_total;
+    for (const SeedResult& r : results) {
+      for (std::size_t op = 0; op < kNumOpcodes; ++op) {
+        source_ops[op] += r.source[op];
+        emitted_ops[op] += r.emitted[op];
+        source_total += r.source[op];
+        emitted_total += r.emitted[op];
       }
     }
 
@@ -52,9 +64,10 @@ Experiment make_table1() {
                    "tuple_freq_pct", "min_time", "max_time"});
     for (Opcode op : all_opcodes()) {
       const double expected = opcode_frequency_percent(op);
-      const double source = 100.0 * static_cast<double>(source_ops[op]) /
+      const auto idx = static_cast<std::size_t>(op);
+      const double source = 100.0 * static_cast<double>(source_ops[idx]) /
                             static_cast<double>(source_total);
-      const double emitted = 100.0 * static_cast<double>(emitted_ops[op]) /
+      const double emitted = 100.0 * static_cast<double>(emitted_ops[idx]) /
                              static_cast<double>(emitted_total);
       table.add_row(
           {std::string(opcode_name(op)),

@@ -1,5 +1,7 @@
 // Machine-utilization decomposition across machine presets and sizes
 // (extension; runtime view of §5's fractions).
+#include <array>
+
 #include "exp/registry.hpp"
 #include "harness/report.hpp"
 #include "machine/presets.hpp"
@@ -33,33 +35,68 @@ Experiment make_utilization() {
     CsvWriter csv(path);
     csv.write_row({"machine", "procs", "utilization", "busy_frac",
                    "wait_frac", "idle_frac", "mean_completion"});
+    // A task keeps its three draws' samples so the fold adds them in serial
+    // order.
+    struct Draw {
+      double util = 0, busy = 0, wait = 0, idle = 0, completion = 0;
+      bool has_time = false;  ///< busy/wait/idle are defined
+    };
+    struct SeedResult {
+      std::array<Draw, 3> draws;
+      VerifyTally verify;
+    };
     for (const MachineDescription& m : machine_presets()) {
       for (std::size_t pi = 0; pi < sweep.values.size(); ++pi) {
-        const std::size_t procs = static_cast<std::size_t>(sweep.values[pi]);
+        SchedulerConfig cfg;
+        cfg.num_procs = static_cast<std::size_t>(sweep.values[pi]);
+        cfg.barrier_latency = m.barrier_latency;
+        // One pool per point, not one for the whole sweep: the scheduler's
+        // last-writer-wins `sched.procs` gauge lands in the manifest, so
+        // every point's schedules must finish before the next point's start.
+        const std::vector<SeedResult> results =
+            fan_out_seeds(opt, opt.seeds, [&](std::size_t i) {
+              Rng rng = benchmark_rng(opt.base_seed, i);
+              const SynthesisResult s = synthesize_benchmark(gen, rng);
+              const InstrDag dag = InstrDag::build(s.program, m.timing);
+              const ScheduleResult r = schedule_program(dag, cfg, rng);
+              SeedResult out;
+              if (opt.verify)
+                out.verify.verify(dag, *r.schedule,
+                                  "[" + m.name + " procs " +
+                                      sweep.label(pi) + " seed " +
+                                      std::to_string(i) + "]");
+              for (Draw& d : out.draws) {
+                const ExecTrace t = simulate(
+                    *r.schedule, {cfg.machine, SamplingMode::kUniform}, rng);
+                const TraceAnalysis a = analyze_trace(*r.schedule, t);
+                d.util = a.machine_utilization();
+                const double total = static_cast<double>(
+                    a.total_busy + a.total_barrier_wait + a.total_idle);
+                d.has_time = total > 0;
+                if (d.has_time) {
+                  d.busy = static_cast<double>(a.total_busy) / total;
+                  d.wait = static_cast<double>(a.total_barrier_wait) / total;
+                  d.idle = static_cast<double>(a.total_idle) / total;
+                }
+                d.completion = static_cast<double>(t.completion);
+              }
+              return out;
+            });
+        VerifyTally verify;
         RunningStats util, busy, wait, idle, completion_stats;
-        for (std::size_t i = 0; i < opt.seeds; ++i) {
-          Rng rng = benchmark_rng(opt.base_seed, i);
-          const SynthesisResult s = synthesize_benchmark(gen, rng);
-          const InstrDag dag = InstrDag::build(s.program, m.timing);
-          SchedulerConfig cfg;
-          cfg.num_procs = procs;
-          cfg.barrier_latency = m.barrier_latency;
-          const ScheduleResult r = schedule_program(dag, cfg, rng);
-          for (int run = 0; run < 3; ++run) {
-            const ExecTrace t = simulate(
-                *r.schedule, {cfg.machine, SamplingMode::kUniform}, rng);
-            const TraceAnalysis a = analyze_trace(*r.schedule, t);
-            util.add(a.machine_utilization());
-            const double total = static_cast<double>(
-                a.total_busy + a.total_barrier_wait + a.total_idle);
-            if (total > 0) {
-              busy.add(static_cast<double>(a.total_busy) / total);
-              wait.add(static_cast<double>(a.total_barrier_wait) / total);
-              idle.add(static_cast<double>(a.total_idle) / total);
+        for (const SeedResult& r : results) {
+          verify.merge(r.verify);
+          for (const Draw& d : r.draws) {
+            util.add(d.util);
+            if (d.has_time) {
+              busy.add(d.busy);
+              wait.add(d.wait);
+              idle.add(d.idle);
             }
-            completion_stats.add(static_cast<double>(t.completion));
+            completion_stats.add(d.completion);
           }
         }
+        verify.throw_if_failed();
         table.add_row({m.name, sweep.label(pi), TextTable::pct(util.mean()),
                        TextTable::pct(busy.mean()),
                        TextTable::pct(wait.mean()),

@@ -1,28 +1,16 @@
 #include "harness/experiment.hpp"
 
-#include <vector>
-
 #include "serve/session.hpp"
 #include "support/assert.hpp"
-#include "support/thread_pool.hpp"
+#include "verify/verify.hpp"
 
 namespace bm {
 
 namespace {
 
-/// Everything one seeded benchmark contributes to the point aggregate.
-/// Computed independently per seed (the expensive part, safe to run on any
-/// worker thread), then folded into PointAggregate strictly in seed order so
-/// `--jobs N` is bit-identical to the serial run.
-struct SeedResult {
-  BenchmarkOutcome outcome;
-  std::size_t violations = 0;
-  std::size_t verify_errors = 0;
-  std::string verify_first;  ///< first verifier diagnostic (error context)
-};
-
-SeedResult run_seed(const GeneratorConfig& gen, const SchedulerConfig& sched,
-                    const RunOptions& opt, std::size_t i) {
+serve::BenchmarkResult run_seed(const GeneratorConfig& gen,
+                                const SchedulerConfig& sched,
+                                const RunOptions& opt, std::size_t i) {
   // One session per harness thread, in thread-shared arena mode: pipeline
   // working memory keeps flowing through the warm per-thread scratch pools
   // (tests/scratch_arena_test.cpp pins the zero-steady-state-allocation
@@ -42,96 +30,85 @@ SeedResult run_seed(const GeneratorConfig& gen, const SchedulerConfig& sched,
   req.sim_batch = opt.sim_batch;
   req.validate_draws = opt.validate_draws;
   req.verify = opt.verify;
-  const serve::BenchmarkResult b = session.run_benchmark(req);
-
-  SeedResult r;
-  r.outcome.seed_index = b.seed_index;
-  r.outcome.program_size = b.program_size;
-  r.outcome.stats = b.stats;
-  r.outcome.vliw_makespan = b.vliw_makespan;
-  r.outcome.barrier_completion = b.barrier_completion;
-  r.violations = b.violations;
-  r.verify_errors = b.verify_errors;
-  r.verify_first = b.verify_first;
-  return r;
+  return session.run_benchmark(req);
 }
 
-/// The fold step. Performs the exact `.add()` sequence of the historical
-/// serial loop; both the serial and the parallel path go through here, one
-/// seed at a time, in seed order.
-void accumulate(PointAggregate& agg, const SeedResult& r,
+/// The fold step: the exact `.add()` sequence of the historical serial
+/// loop, one seed at a time, in seed order.
+void accumulate(PointAggregate& agg, const serve::BenchmarkResult& r,
                 const RunOptions& opt) {
-  if (opt.verify) {
-    ++agg.verified_schedules;
-    agg.verify_errors += r.verify_errors;
-  }
-  agg.fractions.add(r.outcome.stats);
-  agg.program_size.add(static_cast<double>(r.outcome.program_size));
+  if (opt.verify) agg.verify.merge({1, r.verify_errors, r.verify_first});
+  agg.fractions.add(r.stats);
+  agg.program_size.add(static_cast<double>(r.program_size));
   if (opt.with_vliw)
-    agg.vliw_makespan.add(static_cast<double>(r.outcome.vliw_makespan));
+    agg.vliw_makespan.add(static_cast<double>(r.vliw_makespan));
   if (opt.sim_runs > 0 || opt.validate_draws) {
     agg.violation_count += r.violations;
-    if (opt.with_vliw && r.outcome.vliw_makespan > 0) {
-      const auto v = static_cast<double>(r.outcome.vliw_makespan);
+    if (opt.with_vliw && r.vliw_makespan > 0) {
+      const auto v = static_cast<double>(r.vliw_makespan);
       agg.norm_min.add(
-          static_cast<double>(r.outcome.barrier_completion.min_draw) / v);
+          static_cast<double>(r.barrier_completion.min_draw) / v);
       agg.norm_max.add(
-          static_cast<double>(r.outcome.barrier_completion.max_draw) / v);
-      if (opt.sim_runs > 0)
-        agg.norm_mean.add(r.outcome.barrier_completion.mean / v);
+          static_cast<double>(r.barrier_completion.max_draw) / v);
+      if (opt.sim_runs > 0) agg.norm_mean.add(r.barrier_completion.mean / v);
     }
   }
 }
 
 }  // namespace
 
+void VerifyTally::verify(const InstrDag& dag, const Schedule& sched,
+                         const std::string& where) {
+  VerifyOptions vopt;
+  vopt.lint_redundant = false;
+  const VerifyReport report = verify_schedule(dag, sched, vopt);
+  ++schedules;
+  errors += report.error_count();
+  if (!first.empty() || report.clean()) return;
+  for (const VerifyDiagnostic& d : report.diagnostics()) {
+    if (d.severity != VerifySeverity::kError) continue;
+    first = where + " " + d.code + ": " + d.message;
+    return;
+  }
+}
+
+void VerifyTally::merge(const VerifyTally& later) {
+  schedules += later.schedules;
+  errors += later.errors;
+  if (first.empty()) first = later.first;
+}
+
+void VerifyTally::throw_if_failed() const {
+  if (errors == 0) return;
+  throw Error("schedule verification failed: " + std::to_string(errors) +
+              " error(s) across " + std::to_string(schedules) +
+              " schedule(s); first: " + first);
+}
+
+std::size_t resolve_jobs(std::size_t jobs) {
+  return jobs == 0 ? ThreadPool::default_jobs() : jobs;
+}
+
 PointAggregate run_point(const GeneratorConfig& gen,
                          const SchedulerConfig& sched, const RunOptions& opt,
                          const PerBenchmarkHook& hook) {
+  const std::vector<serve::BenchmarkResult> results = fan_out_seeds(
+      opt, opt.seeds,
+      [&](std::size_t i) { return run_seed(gen, sched, opt, i); });
   PointAggregate agg;
-  const std::size_t jobs =
-      opt.jobs == 0 ? ThreadPool::default_jobs() : opt.jobs;
-
-  std::string first_verify_error;
-  auto note_verify = [&](const SeedResult& r) {
-    if (first_verify_error.empty() && !r.verify_first.empty())
-      first_verify_error = r.verify_first;
-  };
-  // A verifier error is a scheduler soundness bug, never a data point:
-  // surface it as a hard failure once every seed has been folded (so the
-  // error message can report the full count, not just the first seed).
-  auto check_verify = [&]() {
-    if (!opt.verify || agg.verify_errors == 0) return;
-    throw Error("schedule verification failed: " +
-                std::to_string(agg.verify_errors) + " error(s) across " +
-                std::to_string(agg.verified_schedules) +
-                " schedule(s); first: " + first_verify_error);
-  };
-
-  if (jobs <= 1 || opt.seeds <= 1) {
-    for (std::size_t i = 0; i < opt.seeds; ++i) {
-      const SeedResult r = run_seed(gen, sched, opt, i);
-      accumulate(agg, r, opt);
-      note_verify(r);
-      if (hook) hook(r.outcome);
-    }
-    check_verify();
-    return agg;
-  }
-
-  // Fan the seeds out; each worker owns a disjoint set of indices and every
-  // seed derives its own RNG stream from (base_seed, i), so workers share no
-  // mutable state. Results are folded in seed order afterwards.
-  std::vector<SeedResult> results(opt.seeds);
-  parallel_for_jobs(jobs, opt.seeds, [&](std::size_t i) {
-    results[i] = run_seed(gen, sched, opt, i);
-  });
-  for (const SeedResult& r : results) {
+  for (const serve::BenchmarkResult& r : results) {
     accumulate(agg, r, opt);
-    note_verify(r);
-    if (hook) hook(r.outcome);
+    if (hook) {
+      BenchmarkOutcome outcome;
+      outcome.seed_index = r.seed_index;
+      outcome.program_size = r.program_size;
+      outcome.stats = r.stats;
+      outcome.vliw_makespan = r.vliw_makespan;
+      outcome.barrier_completion = r.barrier_completion;
+      hook(outcome);
+    }
   }
-  check_verify();
+  agg.verify.throw_if_failed();
   return agg;
 }
 

@@ -269,5 +269,26 @@ TEST(CfgVliw, WorstCaseBoundDominatesActualWorstPath) {
   }
 }
 
+TEST(CfgVliw, ScheduledFormReusesDagsAndAgreesWithProgramForm) {
+  // The CfgScheduleResult form reads the DAGs schedule_cfg already built;
+  // it must give exactly the bound the CfgProgram form rebuilds them for,
+  // across procs, overheads and loop shapes.
+  CfgGeneratorConfig cc = small_cfg_config();
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    cc.max_trip = static_cast<std::int64_t>(1 + seed % 8);
+    SchedulerConfig sc;
+    sc.num_procs = 2 + seed % 7;
+    const Time overhead = static_cast<Time>(seed % 3);
+    Rng rng(seed + 500);
+    const CfgProgram cfg = generate_cfg(cc, rng);
+    const CfgScheduleResult s =
+        schedule_cfg(cfg, sc, TimingModel::table1(), rng);
+    EXPECT_EQ(vliw_cfg_worst_case(s, sc.num_procs, overhead),
+              vliw_cfg_worst_case(cfg, sc.num_procs, TimingModel::table1(),
+                                  overhead))
+        << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace bm

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <thread>
 
 #include "harness/experiment.hpp"
@@ -76,6 +78,72 @@ TEST(Cli, JobsFlagParsing) {
     const char* argv[] = {"prog", "--jobs", "-2"};
     EXPECT_THROW(CliFlags(3, argv).get_jobs(), Error);
   }
+}
+
+// --- fan_out_seeds -------------------------------------------------------------
+
+TEST(FanOutSeeds, ResultsComeBackInIndexOrder) {
+  for (std::size_t jobs : {1u, 3u, 8u}) {
+    RunOptions opt;
+    opt.jobs = jobs;
+    // 31 tasks: no job count here divides it, so some worker claims a
+    // ragged tail. Early indices sleep longest, so with several workers
+    // tasks finish out of index order.
+    const std::vector<std::size_t> out =
+        fan_out_seeds(opt, 31, [](std::size_t i) {
+          std::this_thread::sleep_for(std::chrono::microseconds(40 * (31 - i)));
+          return i * i;
+        });
+    ASSERT_EQ(out.size(), 31u) << "jobs " << jobs;
+    for (std::size_t i = 0; i < out.size(); ++i)
+      EXPECT_EQ(out[i], i * i) << "jobs " << jobs;
+  }
+}
+
+TEST(FanOutSeeds, ThrowingTaskRethrowsOnCaller) {
+  for (std::size_t jobs : {1u, 3u}) {
+    RunOptions opt;
+    opt.jobs = jobs;
+    EXPECT_THROW(fan_out_seeds(opt, 20,
+                               [](std::size_t i) {
+                                 if (i == 7) throw Error("boom");
+                                 return i;
+                               }),
+                 Error)
+        << "jobs " << jobs;
+  }
+}
+
+TEST(FanOutSeeds, OneJobRunsInlineOnCaller) {
+  const auto caller = std::this_thread::get_id();
+  RunOptions opt;
+  opt.jobs = 1;
+  const std::vector<std::thread::id> ids = fan_out_seeds(
+      opt, 9, [](std::size_t) { return std::this_thread::get_id(); });
+  for (const std::thread::id id : ids) EXPECT_EQ(id, caller);
+  // 0 means one worker per hardware thread.
+  EXPECT_EQ(resolve_jobs(0), ThreadPool::default_jobs());
+  EXPECT_EQ(resolve_jobs(5), 5u);
+}
+
+TEST(VerifyTally, FoldKeepsFirstDiagnosticAndThrowsWithTotals) {
+  VerifyTally total;
+  total.merge({2, 0, ""});
+  total.merge({1, 3, "[seed 1] BV101: race"});
+  total.merge({4, 1, "[seed 2] BV101: later race"});
+  EXPECT_EQ(total.schedules, 7u);
+  EXPECT_EQ(total.errors, 4u);
+  EXPECT_EQ(total.first, "[seed 1] BV101: race");
+  try {
+    total.throw_if_failed();
+    FAIL() << "a tally with errors must throw";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("4 error(s) across 7 schedule(s)"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("[seed 1] BV101: race"), std::string::npos) << msg;
+  }
+  EXPECT_NO_THROW((VerifyTally{3, 0, ""}.throw_if_failed()));
 }
 
 // --- run_point determinism ---------------------------------------------------
