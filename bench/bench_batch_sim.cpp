@@ -1,7 +1,6 @@
-// google-benchmark microbenchmarks: throughput of the seed-batched lockstep
-// simulator at batch widths 1/4/8/16, against the serial baseline in
-// bench_sim_perf. Items processed counts simulated *runs* (lanes), so
-// items_per_second is directly comparable across widths. Not a paper
+// google-benchmark microbenchmark: completion summaries, whose uniform draws
+// run several seed lanes per schedule walk (single-run simulation is timed
+// in bench_sim_perf). Items processed counts simulated runs. Not a paper
 // figure — engineering instrumentation.
 #include <memory>
 #include <vector>
@@ -10,7 +9,6 @@
 
 #include "codegen/synthesize.hpp"
 #include "sched/scheduler.hpp"
-#include "sim/batch_sim.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -40,42 +38,15 @@ Prepared prepare(std::size_t statements, MachineKind machine) {
   return p;
 }
 
-/// One batch dispatch of `width` lanes per iteration, single draw stream —
-/// the summarize_completion inner loop.
-void run_batch(benchmark::State& state, MachineKind machine) {
-  const std::size_t width = static_cast<std::size_t>(state.range(0));
-  const Prepared p = prepare(60, machine);
-  Rng rng(9);
-  BatchExecTrace trace;
-  for (auto _ : state) {
-    batch_simulate_runs_into(*p.result.schedule,
-                             {machine, SamplingMode::kUniform}, width, rng,
-                             trace);
-    benchmark::DoNotOptimize(trace.completion.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * width));
-}
-
-void BM_BatchSimulateSbm(benchmark::State& state) {
-  run_batch(state, MachineKind::kSBM);
-}
-BENCHMARK(BM_BatchSimulateSbm)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
-
-void BM_BatchSimulateDbm(benchmark::State& state) {
-  run_batch(state, MachineKind::kDBM);
-}
-BENCHMARK(BM_BatchSimulateDbm)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
-
-/// End-to-end completion summary (min/max draws + batched uniform sweep) at
-/// the production batch width — the quantity experiments actually compute.
+/// End-to-end completion summary (min/max draws + lane-batched uniform
+/// sweep) — the quantity experiments actually compute.
 void BM_SummarizeCompletion(benchmark::State& state) {
   const Prepared p = prepare(60, MachineKind::kSBM);
   Rng rng(9);
   const std::size_t runs = 64;
   for (auto _ : state) {
     benchmark::DoNotOptimize(summarize_completion(
-        *p.result.schedule, MachineKind::kSBM, runs, rng, kDefaultSimBatch));
+        *p.result.schedule, MachineKind::kSBM, runs, rng));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * runs));
 }

@@ -53,10 +53,6 @@ GATED_BENCHMARKS = {
         "BM_ValidateTrace",
     ],
     "BENCH_batch.json": [
-        "BM_BatchSimulateSbm/1",
-        "BM_BatchSimulateSbm/8",
-        "BM_BatchSimulateSbm/16",
-        "BM_BatchSimulateDbm/8",
         "BM_SummarizeCompletion",
     ],
     # BM_ServeStatsSnapshot rides in BENCH_serve.json for visibility but is

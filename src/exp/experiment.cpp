@@ -93,7 +93,6 @@ RunOptions ExpContext::run_options() const {
   opt.base_seed = static_cast<std::uint64_t>(get_int("base-seed"));
   opt.jobs = flags_.get_jobs(1);
   if (declared("sim-runs")) opt.sim_runs = get_size("sim-runs");
-  if (declared("sim-batch")) opt.sim_batch = get_size("sim-batch");
   // --verify is a driver flag (validated by bmrun, not per-experiment
   // schemas), so it is read directly rather than through the declared specs.
   opt.verify = flags_.get_bool("verify", false);

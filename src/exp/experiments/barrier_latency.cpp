@@ -22,8 +22,6 @@ Experiment make_barrier_latency() {
   e.flags.push_back(int_flag("statements", 60, "statements per block"));
   e.flags.push_back(int_flag("variables", 10, "variables per block"));
   e.flags.push_back(int_flag("sim-runs", 5, "uniform draws per benchmark"));
-  e.flags.push_back(int_flag(
-      "sim-batch", 8, "lanes per batched simulation (bit-identical for all)"));
   e.sweeps = {{"latency", {0, 1, 2, 4, 8, 16}}};
   e.run = [](ExpContext& ctx) {
     RunOptions opt = ctx.run_options();

@@ -18,8 +18,6 @@ Experiment make_fig18() {
   e.flags.push_back(int_flag("statements", 60, "statements per block"));
   e.flags.push_back(int_flag("variables", 10, "variables per block"));
   e.flags.push_back(int_flag("sim-runs", 10, "uniform draws per benchmark"));
-  e.flags.push_back(int_flag(
-      "sim-batch", 8, "lanes per batched simulation (bit-identical for all)"));
   e.sweeps = {{"procs", {2, 4, 8, 16, 32, 64, 128}}};
   e.csv_stem = "fig18_vliw";
   e.run = [](ExpContext& ctx) {

@@ -19,8 +19,6 @@ Experiment make_merging() {
   e.flags.push_back(int_flag("statements", 80, "statements per block"));
   e.flags.push_back(int_flag("variables", 10, "variables per block"));
   e.flags.push_back(int_flag("sim-runs", 10, "uniform draws per benchmark"));
-  e.flags.push_back(int_flag(
-      "sim-batch", 8, "lanes per batched simulation (bit-identical for all)"));
   e.run = [](ExpContext& ctx) {
     const RunOptions opt = ctx.run_options();
     const GeneratorConfig gen = ctx.generator_config();

@@ -27,7 +27,6 @@ serve::BenchmarkResult run_seed(const GeneratorConfig& gen,
   req.index = i;
   req.with_vliw = opt.with_vliw;
   req.sim_runs = opt.sim_runs;
-  req.sim_batch = opt.sim_batch;
   req.validate_draws = opt.validate_draws;
   req.verify = opt.verify;
   return session.run_benchmark(req);

@@ -30,11 +30,6 @@ struct RunOptions {
 
   bool with_vliw = false;           ///< also schedule the VLIW baseline
   std::size_t sim_runs = 0;         ///< uniform-draw simulations per benchmark
-  /// Lanes per batched simulation of the uniform draws (0 = scalar). Every
-  /// width is bit-identical — the batch engine consumes the rng in serial
-  /// draw order — so this is a pure throughput knob, composing with `jobs`
-  /// (lanes within a seed, workers across seeds).
-  std::size_t sim_batch = kDefaultSimBatch;
   bool validate_draws = false;      ///< assert no dependence violations
 
   /// Run the static verifier (src/verify) on every schedule. Any verifier

@@ -99,7 +99,7 @@ BenchmarkResult SchedulerSession::run_benchmark(const BenchmarkRequest& req) {
     }
     r.barrier_completion =
         summarize_completion(*scheduled.schedule, req.sched.machine,
-                             req.sim_runs, rng, req.sim_batch);
+                             req.sim_runs, rng);
   }
   return r;
 }

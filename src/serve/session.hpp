@@ -47,7 +47,6 @@ struct BenchmarkRequest {
 
   bool with_vliw = false;
   std::size_t sim_runs = 0;
-  std::size_t sim_batch = kDefaultSimBatch;
   bool validate_draws = false;
   bool verify = false;
 };

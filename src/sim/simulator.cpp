@@ -1,9 +1,9 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "obs/obs.hpp"
-#include "sim/batch_sim.hpp"
 #include "support/assert.hpp"
 #include "support/scratch.hpp"
 
@@ -11,236 +11,169 @@ namespace bm {
 
 namespace {
 
-/// Run-local barrier accounting, folded into the metric registry once per
-/// simulation (record_barrier_fire used to touch the registry three times
-/// per fire — at hundreds of thousands of simulated runs per experiment
-/// that was the dominant obs cost). The folded totals are identical: the
-/// stall histogram exports only its monotonic count/sum pair.
-struct FireTally {
+/// Lanes per schedule walk for summarize_completion's uniform draws (the
+/// MASIM multi-array layout: every per-run quantity is a seed-major row of
+/// W lanes). Wide enough to amortize the walk over the schedule structure,
+/// small enough that ragged tails (runs % 8) stay cheap.
+constexpr std::size_t kLanes = 8;
+
+/// One engine call's buffers, seed-major: row r of lane w lives at
+/// [r * W + w]. The trace rows may be null when only completions are wanted.
+struct LaneBuffers {
+  const Time* durations = nullptr;  ///< [instr * W + lane], pre-drawn
+  Time* start = nullptr;            ///< [instr * W + lane]
+  Time* finish = nullptr;           ///< [instr * W + lane]
+  Time* fire = nullptr;             ///< [barrier * W + lane]
+  Time* completion = nullptr;       ///< [lane]
+};
+
+/// Lane 0's machine events for one participant of a fired barrier: a stall
+/// span while it waited, then the fire instant on its lane.
+void trace_fire(BarrierId b, std::size_t p, Time arrival, Time fire) {
+  const auto lane = static_cast<std::uint32_t>(p);
+  if (fire > arrival)
+    obs::sim_span("stall", "sim", lane, static_cast<double>(arrival),
+                  static_cast<double>(fire - arrival), "barrier",
+                  static_cast<double>(b));
+  obs::sim_instant("fire b" + std::to_string(b), "sim", lane,
+                   static_cast<double>(fire));
+}
+
+/// The timing engine: runs the first `lanes` of W lanes of one schedule in
+/// a single walk over the barrier dag's linear extension (the SBM queue
+/// order). Durations are drawn up front, so every lane follows the same
+/// structural path; at each barrier, every participant is advanced to its
+/// next barrier entry (which must be this one), the barrier fires at the
+/// latest arrival plus the latency — on the SBM no earlier than its queue
+/// predecessor — and all participants resume at the fire time (§3.2).
+/// Stall and FIFO-delay totals fold into the registry once per call.
+template <std::size_t W>
+void time_lanes(const Schedule& sched, MachineKind machine, std::size_t lanes,
+                const LaneBuffers& io) {
+  BM_OBS_COUNT_N("sim.runs", lanes);
+  BM_OBS_SPAN_ARG(span,
+                  machine == MachineKind::kSBM ? "sim.run_sbm" : "sim.run_dbm",
+                  "sim", "lanes", static_cast<double>(lanes));
+  ScratchVec<BarrierId> order_s;
+  sched.barrier_dag().linear_extension_into(*order_s);
+  ScratchVec<std::span<const ScheduleEntry>> rest_s;  // per proc: not yet run
+  ScratchVec<Time> clock_s;                           // [proc * W + lane]
+  auto& rest = *rest_s;
+  auto& clock = *clock_s;
+  rest.clear();
+  for (ProcId p = 0; p < sched.num_procs(); ++p)
+    rest.emplace_back(sched.stream(p));
+  clock.assign(sched.num_procs() * W, 0);
+
+  // Runs p up to its next barrier entry, timing each instruction on the
+  // way; returns that barrier, or kInvalidBarrier once p has retired.
+  const auto advance = [&](std::size_t p) {
+    std::span<const ScheduleEntry>& s = rest[p];
+    Time* t = clock.data() + p * W;
+    for (; !s.empty(); s = s.subspan(1)) {
+      const ScheduleEntry& e = s.front();
+      if (e.is_barrier) return e.id;
+      const std::size_t row = e.id * W;
+      if (io.start)
+        for (std::size_t w = 0; w < W; ++w) io.start[row + w] = t[w];
+      for (std::size_t w = 0; w < W; ++w) t[w] += io.durations[row + w];
+      if (io.finish)
+        for (std::size_t w = 0; w < W; ++w) io.finish[row + w] = t[w];
+    }
+    return kInvalidBarrier;
+  };
+
+  const bool sbm = machine == MachineKind::kSBM;
+  const bool tracing = BM_OBS_TRACING();
+  const Time latency = sched.barrier_latency();
+  Time last[W] = {};   // SBM: fire time of the queue predecessor
+  Time stall[W] = {};  // fire minus arrival, summed over participants
+  Time fifo[W] = {};   // SBM wait beyond the latest arrival
   std::uint64_t fires = 0;
-  Time stall_sum = 0;
-  Time fifo_delay_sum = 0;
-
-  void flush() const {
-    if (fires > 0) {
-      BM_OBS_COUNT_N("sim.barriers_fired", fires);
-      BM_OBS_COUNT_N("sim.stall_cycles", stall_sum);
-      BM_OBS_OBSERVE_N("sim.barrier_stall", fires, stall_sum);
-    }
-    if (fifo_delay_sum > 0)
-      BM_OBS_COUNT_N("sim.sbm_fifo_delay_cycles", fifo_delay_sum);
-  }
-};
-
-/// Per-barrier accounting shared by both machine models: stall cycles (sum
-/// over participants of fire-time minus arrival-time) into the run tally,
-/// plus — when tracing — a stall span per participant lane and a fire
-/// instant on each lane of the simulated-machine track.
-void record_barrier_fire(const Schedule& sched, BarrierId b, Time fire,
-                         const std::vector<Time>& arrivals, FireTally& tally) {
-  ++tally.fires;
-  Time stall_total = 0;
-  for (const Time a : arrivals) stall_total += fire - a;
-  tally.stall_sum += stall_total;
-  if (BM_OBS_TRACING()) {
-    std::size_t k = 0;
-    sched.barrier_mask(b).for_each([&](std::size_t p) {
-      const Time a = arrivals[k++];
-      if (fire > a)
-        obs::sim_span("stall", "sim", static_cast<std::uint32_t>(p),
-                      static_cast<double>(a), static_cast<double>(fire - a),
-                      "barrier", static_cast<double>(b));
-      obs::sim_instant("fire b" + std::to_string(b), "sim",
-                       static_cast<std::uint32_t>(p),
-                       static_cast<double>(fire));
-    });
-  }
-}
-
-class MachineState {
- public:
-  MachineState(const Schedule& sched, SamplingMode mode, Rng& rng,
-               ExecTrace& trace)
-      : sched_(sched), trace_(trace) {
-    idx_->assign(sched.num_procs(), 0);
-    time_->assign(sched.num_procs(), 0);
-    waiting_->assign(sched.num_procs(), 0);
-    // Pre-sample every instruction's duration in node-id order, so the
-    // realized draw is a property of the run, not of the machine model's
-    // internal event order — SBM and DBM replay identical draws from the
-    // same rng state.
-    const std::size_t n = sched.instr_dag().num_instructions();
-    durations_->resize(n);
-    for (NodeId i = 0; i < n; ++i)
-      (*durations_)[i] = sample_time(sched.instr_dag().time(i), mode, rng);
-  }
-
-  /// Advances processor p until it blocks on a barrier entry or retires its
-  /// stream; instruction start/finish times are recorded as they execute.
-  void run_proc(ProcId p) {
-    if ((*waiting_)[p]) return;
-    const auto& s = sched_.stream(p);
-    auto& idx = *idx_;
-    auto& time = *time_;
-    while (idx[p] < s.size()) {
-      const ScheduleEntry& e = s[idx[p]];
-      if (e.is_barrier) {
-        (*waiting_)[p] = 1;
-        return;
-      }
-      const Time dur = (*durations_)[e.id];
-      trace_.start[e.id] = time[p];
-      time[p] += dur;
-      trace_.finish[e.id] = time[p];
-      ++idx[p];
-    }
-  }
-
-  void run_all() {
-    for (ProcId p = 0; p < sched_.num_procs(); ++p) run_proc(p);
-  }
-
-  bool waiting(ProcId p) const { return (*waiting_)[p] != 0; }
-  Time arrival(ProcId p) const { return (*time_)[p]; }
-  bool done(ProcId p) const {
-    return !waiting(p) && (*idx_)[p] >= sched_.stream(p).size();
-  }
-  /// The barrier entry p is currently waiting at.
-  BarrierId waiting_at(ProcId p) const {
-    BM_ASSERT_INTERNAL(waiting(p), "processor is not waiting");
-    return sched_.stream(p)[(*idx_)[p]].id;
-  }
-
-  void release(ProcId p, Time fire) {
-    BM_ASSERT_INTERNAL(waiting(p), "releasing a running processor");
-    (*waiting_)[p] = 0;
-    (*time_)[p] = fire;  // simultaneous resume (§3.2)
-    ++(*idx_)[p];
-  }
-
-  Time completion() const {
-    Time t = 0;
-    for (ProcId p = 0; p < sched_.num_procs(); ++p) {
-      BM_ASSERT_INTERNAL(!waiting(p), "deadlocked processor at completion");
-      t = std::max(t, (*time_)[p]);
-    }
-    return t;
-  }
-
- private:
-  const Schedule& sched_;
-  ExecTrace& trace_;
-  // Pooled: one MachineState is built per simulation run, and experiment
-  // sweeps run thousands of simulations per thread.
-  ScratchVec<Time> durations_;
-  ScratchVec<std::uint32_t> idx_;
-  ScratchVec<Time> time_;
-  ScratchVec<char> waiting_;  ///< 0/1 flags (vector<bool> defeats pooling)
-};
-
-void simulate_sbm(const Schedule& sched, MachineState& m, ExecTrace& trace,
-                  FireTally& tally) {
-  // Compile-time queue load order: a linear extension of the barrier dag.
-  ScratchVec<BarrierId> queue_s;
-  sched.barrier_dag().linear_extension_into(*queue_s);
-  Time last_fire = 0;
-  ScratchVec<Time> arrivals_s;
-  std::vector<Time>& arrivals = *arrivals_s;  // in mask order, per barrier
-  for (BarrierId b : *queue_s) {
-    if (b == Schedule::kInitialBarrier) {
-      trace.barrier_fire[b] = 0;  // all processors start in exact synchrony
-      continue;
-    }
-    m.run_all();
-    // All participants must be waiting at exactly this barrier: the queue
-    // order extends every per-processor stream order, so earlier stream
-    // barriers have already fired.
-    Time last_arrival = 0;
-    arrivals.clear();
-    sched.barrier_mask(b).for_each([&](std::size_t p) {
-      const auto proc = static_cast<ProcId>(p);
-      BM_ASSERT_INTERNAL(m.waiting(proc) && m.waiting_at(proc) == b,
-                         "SBM participant not waiting at queue top");
-      arrivals.push_back(m.arrival(proc));
-      last_arrival = std::max(last_arrival, m.arrival(proc));
-    });
-    // FIFO semantics: the mask cannot fire before its queue predecessor —
-    // any extra wait beyond the arrivals is pure SBM ordering delay.
-    if (last_fire > last_arrival)
-      tally.fifo_delay_sum += last_fire - last_arrival;
-    const Time fire =
-        std::max(last_fire, last_arrival) + sched.barrier_latency();
-    trace.barrier_fire[b] = fire;
-    last_fire = fire;  // a barrier becomes top only after its predecessor fires
-    record_barrier_fire(sched, b, fire, arrivals, tally);
-    sched.barrier_mask(b).for_each(
-        [&](std::size_t p) { m.release(static_cast<ProcId>(p), fire); });
-  }
-  m.run_all();
-}
-
-void simulate_dbm(const Schedule& sched, MachineState& m, ExecTrace& trace,
-                  FireTally& tally) {
-  trace.barrier_fire[Schedule::kInitialBarrier] = 0;
-  ScratchVec<Time> arrivals_s;
-  std::vector<Time>& arrivals = *arrivals_s;  // in mask order, per barrier
-  for (;;) {
-    m.run_all();
-    // Associative match: fire every barrier whose participants all wait at it.
-    bool fired = false;
-    for (BarrierId b = 1; b < sched.barrier_id_bound(); ++b) {
-      if (!sched.barrier_alive(b)) continue;
-      if (trace.barrier_fire[b] != kNotExecuted) continue;
-      bool all_waiting = true;
-      Time fire = 0;
-      arrivals.clear();
-      sched.barrier_mask(b).for_each([&](std::size_t p) {
-        const auto proc = static_cast<ProcId>(p);
-        if (!m.waiting(proc) || m.waiting_at(proc) != b) {
-          all_waiting = false;
-          return;
-        }
-        arrivals.push_back(m.arrival(proc));
-        fire = std::max(fire, m.arrival(proc));
+  for (const BarrierId b : *order_s) {
+    Time fire[W] = {};  // the initial barrier: all start in exact synchrony
+    if (b != Schedule::kInitialBarrier) {
+      const DynBitset& mask = sched.barrier_mask(b);
+      Time arrive[W] = {};
+      mask.for_each([&](std::size_t p) {
+        const BarrierId at = advance(p);
+        BM_REQUIRE(at == b, "simulation deadlock: a participant's stream "
+                            "does not reach barrier " + std::to_string(b));
+        const Time* t = clock.data() + p * W;
+        for (std::size_t w = 0; w < W; ++w)
+          arrive[w] = std::max(arrive[w], t[w]);
       });
-      if (!all_waiting) continue;
-      fire += sched.barrier_latency();
-      trace.barrier_fire[b] = fire;
-      record_barrier_fire(sched, b, fire, arrivals, tally);
-      sched.barrier_mask(b).for_each(
-          [&](std::size_t p) { m.release(static_cast<ProcId>(p), fire); });
-      fired = true;
+      for (std::size_t w = 0; w < W; ++w) {
+        const Time ready = sbm ? std::max(last[w], arrive[w]) : arrive[w];
+        fifo[w] += ready - arrive[w];
+        fire[w] = ready + latency;
+        last[w] = fire[w];
+      }
+      mask.for_each([&](std::size_t p) {
+        Time* t = clock.data() + p * W;
+        if (tracing) trace_fire(b, p, t[0], fire[0]);
+        for (std::size_t w = 0; w < W; ++w) {
+          stall[w] += fire[w] - t[w];
+          t[w] = fire[w];  // simultaneous resume
+        }
+        rest[p] = rest[p].subspan(1);  // past the barrier entry
+      });
+      ++fires;
     }
-    if (!fired) break;
+    if (io.fire) std::copy(fire, fire + W, io.fire + b * W);
   }
+
+  Time done[W] = {};
+  for (std::size_t p = 0; p < sched.num_procs(); ++p) {
+    const BarrierId at = advance(p);
+    BM_REQUIRE(at == kInvalidBarrier,
+               "simulation deadlock: processor never released");
+    const Time* t = clock.data() + p * W;
+    for (std::size_t w = 0; w < W; ++w) done[w] = std::max(done[w], t[w]);
+  }
+  std::copy(done, done + lanes, io.completion);
+
+  Time stall_sum = 0, fifo_sum = 0;
+  for (std::size_t w = 0; w < lanes; ++w) {
+    stall_sum += stall[w];
+    fifo_sum += fifo[w];
+  }
+  if (fires > 0) {
+    BM_OBS_COUNT_N("sim.barriers_fired", fires * lanes);
+    BM_OBS_COUNT_N("sim.stall_cycles", stall_sum);
+    BM_OBS_OBSERVE_N("sim.barrier_stall", fires * lanes, stall_sum);
+  }
+  if (fifo_sum > 0) BM_OBS_COUNT_N("sim.sbm_fifo_delay_cycles", fifo_sum);
+}
+
+/// Draws lane w's durations after lanes [0, w) — the rng order of serial
+/// runs — into the seed-major matrix [instr * W + lane].
+void draw_lanes(const InstrDag& dag, SamplingMode mode, std::size_t lanes,
+                std::size_t W, Rng& rng, std::vector<Time>& out) {
+  const std::size_t n = dag.num_instructions();
+  out.resize(n * W);
+  if (lanes < W) std::fill(out.begin(), out.end(), 0);  // idle tail lanes
+  for (std::size_t w = 0; w < lanes; ++w)
+    for (NodeId i = 0; i < n; ++i)
+      out[i * W + w] = sample_time(dag.time(i), mode, rng);
 }
 
 }  // namespace
 
 void simulate_into(const Schedule& sched, const SimConfig& config, Rng& rng,
                    ExecTrace& trace) {
-  BM_OBS_COUNT("sim.runs");
-  BM_OBS_SPAN(span,
-              config.machine == MachineKind::kSBM ? "sim.run_sbm"
-                                                  : "sim.run_dbm",
-              "sim");
   const std::size_t n = sched.instr_dag().num_instructions();
   trace.start.assign(n, kNotExecuted);
   trace.finish.assign(n, kNotExecuted);
   trace.barrier_fire.assign(sched.barrier_id_bound(), kNotExecuted);
-  trace.completion = 0;
-
-  MachineState m(sched, config.sampling, rng, trace);
-  FireTally tally;
-  if (config.machine == MachineKind::kSBM)
-    simulate_sbm(sched, m, trace, tally);
-  else
-    simulate_dbm(sched, m, trace, tally);
-  tally.flush();
-
-  for (ProcId p = 0; p < sched.num_procs(); ++p)
-    BM_REQUIRE(m.done(p), "simulation deadlock: processor never released");
-  trace.completion = m.completion();
+  ScratchVec<Time> durations;
+  draw_lanes(sched.instr_dag(), config.sampling, 1, 1, rng, *durations);
+  time_lanes<1>(sched, config.machine, 1,
+                {.durations = durations->data(),
+                 .start = trace.start.data(),
+                 .finish = trace.finish.data(),
+                 .fire = trace.barrier_fire.data(),
+                 .completion = &trace.completion});
 }
 
 ExecTrace simulate(const Schedule& sched, const SimConfig& config, Rng& rng) {
@@ -249,46 +182,32 @@ ExecTrace simulate(const Schedule& sched, const SimConfig& config, Rng& rng) {
   return trace;
 }
 
-namespace {
-
-/// Per-thread traces reused by summarize_completion's draw loop; the arrays
-/// are resized in place, so completions over the seed sweep do not allocate
-/// in steady state.
-ExecTrace& tls_trace() {
-  static thread_local ExecTrace t;
-  return t;
-}
-
-BatchExecTrace& tls_batch_trace() {
-  static thread_local BatchExecTrace t;
-  return t;
-}
-
-}  // namespace
-
 CompletionSummary summarize_completion(const Schedule& sched,
                                        MachineKind machine, std::size_t runs,
-                                       Rng& rng, std::size_t batch_width) {
+                                       Rng& rng) {
+  ScratchVec<Time> durations;
+  const auto envelope = [&](SamplingMode mode) {
+    Time done = 0;
+    draw_lanes(sched.instr_dag(), mode, 1, 1, rng, *durations);
+    time_lanes<1>(sched, machine, 1,
+                  {.durations = durations->data(), .completion = &done});
+    return done;
+  };
   CompletionSummary out;
-  ExecTrace& t = tls_trace();
-  simulate_into(sched, {machine, SamplingMode::kAllMin}, rng, t);
-  out.min_draw = t.completion;
-  simulate_into(sched, {machine, SamplingMode::kAllMax}, rng, t);
-  out.max_draw = t.completion;
-  // Uniform draws run through the lockstep batch engine W lanes at a time.
-  // The lane-sequential sampler consumes `rng` in the exact order of the
-  // historical serial loop, and the mean folds lane results in lane (= run)
-  // order, so the summary is bit-identical for every batch width.
-  const std::size_t W = batch_width ? batch_width : 1;
-  BatchExecTrace& bt = tls_batch_trace();
+  out.min_draw = envelope(SamplingMode::kAllMin);
+  out.max_draw = envelope(SamplingMode::kAllMax);
+  // The mean folds lane completions in run order, so it is bit-identical
+  // to a serial loop over the same rng.
   double total = 0;
-  for (std::size_t r = 0; r < runs;) {
-    const std::size_t lanes = std::min(W, runs - r);
-    batch_simulate_runs_into(sched, {machine, SamplingMode::kUniform}, lanes,
-                             rng, bt);
+  for (std::size_t r = 0; r < runs; r += kLanes) {
+    const std::size_t lanes = std::min(kLanes, runs - r);
+    draw_lanes(sched.instr_dag(), SamplingMode::kUniform, lanes, kLanes, rng,
+               *durations);
+    Time done[kLanes] = {};
+    time_lanes<kLanes>(sched, machine, lanes,
+                       {.durations = durations->data(), .completion = done});
     for (std::size_t w = 0; w < lanes; ++w)
-      total += static_cast<double>(bt.completion[w]);
-    r += lanes;
+      total += static_cast<double>(done[w]);
   }
   out.mean = runs ? total / static_cast<double>(runs) : 0.0;
   return out;

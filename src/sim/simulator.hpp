@@ -1,4 +1,4 @@
-// Discrete-event models of the two barrier-MIMD hardware designs (§3.2):
+// Timing models of the two barrier-MIMD hardware designs (§3.2):
 //
 //  SBM — barrier bit-masks in a FIFO queue (Fig. 11). The queue is loaded
 //        with a compile-time linear extension of the barrier dag; the top
@@ -9,7 +9,10 @@
 //  DBM — associative matching: each barrier fires as soon as all its
 //        participants are waiting at it, independent of other barriers.
 //
-// Durations are drawn per instruction from its [min,max] range.
+// Durations are drawn per instruction from its [min,max] range before the
+// run starts, so a barrier's fire time depends only on its predecessors in
+// the barrier dag (plus, on the SBM, its queue predecessor): one pass over
+// the SBM queue order times both machines.
 #pragma once
 
 #include "sched/policies.hpp"
@@ -32,17 +35,10 @@ ExecTrace simulate(const Schedule& sched, const SimConfig& config, Rng& rng);
 void simulate_into(const Schedule& sched, const SimConfig& config, Rng& rng,
                    ExecTrace& trace);
 
-/// Default lane count for batched completion summaries (see
-/// sim/batch_sim.hpp; RunOptions/--sim-batch override it). Eight 64-bit
-/// lanes span two AVX2 vectors — wide enough to amortize the per-run
-/// schedule walk, small enough that ragged tails (runs % W) stay cheap.
-inline constexpr std::size_t kDefaultSimBatch = 8;
-
 /// Completion-time summary over `runs` independent uniform draws plus the
-/// deterministic all-min / all-max envelope. The uniform draws execute
-/// through the seed-batched engine `batch_width` lanes at a time; every
-/// width (including the ragged tail) consumes `rng` in the exact serial
-/// draw order, so the summary is bit-identical for all widths.
+/// deterministic all-min / all-max envelope. The uniform draws run several
+/// lanes per schedule walk, each lane drawing after the previous one, so
+/// `rng` is consumed in the exact order of `runs` serial simulate() calls.
 struct CompletionSummary {
   Time min_draw = 0;   ///< all-min deterministic draw
   Time max_draw = 0;   ///< all-max deterministic draw
@@ -50,7 +46,6 @@ struct CompletionSummary {
 };
 CompletionSummary summarize_completion(const Schedule& sched,
                                        MachineKind machine, std::size_t runs,
-                                       Rng& rng,
-                                       std::size_t batch_width = kDefaultSimBatch);
+                                       Rng& rng);
 
 }  // namespace bm

@@ -74,26 +74,4 @@ double correlation(const std::vector<double>& xs,
   return sxy / std::sqrt(sxx * syy);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  BM_REQUIRE(bins > 0, "histogram needs at least one bin");
-  BM_REQUIRE(lo < hi, "histogram range must be non-empty");
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>(std::floor(t));
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
 }  // namespace bm

@@ -34,22 +34,4 @@ double percentile(std::vector<double> values, double q);
 double correlation(const std::vector<double>& xs,
                    const std::vector<double>& ys);
 
-/// Fixed-width histogram over [lo, hi) with `bins` buckets; out-of-range
-/// values clamp into the end buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace bm

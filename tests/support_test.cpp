@@ -255,19 +255,6 @@ TEST(Correlation, PerfectAndDegenerate) {
   EXPECT_DOUBLE_EQ(correlation({1.0}, {2.0}), 0.0);
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.9);   // bin 4
-  h.add(-5.0);  // clamps to bin 0
-  h.add(25.0);  // clamps to bin 4
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-}
-
 // ------------------------------------------------------------- Table -------
 
 TEST(TextTable, AlignsColumns) {
