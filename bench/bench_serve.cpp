@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the serving core: cold scheduling
 // latency (full synthesize→schedule pipeline, cache bypassed), cache-hit
-// latency (fingerprint + lookup + id rewrite), and the canonical-fingerprint
+// latency (front-end memo + lookup + id rewrite), and the canonical-fingerprint
 // hash itself. items_per_second on the serve benchmarks is the single-worker
 // QPS figure quoted in docs/SERVING.md. Not a paper figure — engineering
 // instrumentation; BENCH_serve.json is the gated baseline.
@@ -43,9 +43,10 @@ void BM_ServeScheduleCold(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeScheduleCold)->Arg(60)->Arg(120);
 
-/// Steady-state hit path: canonicalize + fingerprint the program, look the
-/// schedule up, rewrite ids back into request numbering. The latency a warm
-/// server answers repeat DAGs with.
+/// Steady-state hit path: the front-end memo supplies the program's
+/// canonical form (no synthesis or canonicalization), then the schedule is
+/// looked up and its ids rewritten into request numbering. The latency a
+/// warm server answers repeat requests with.
 void BM_ServeCacheHit(benchmark::State& state) {
   CoreConfig cfg;
   cfg.workers = 1;

@@ -1,10 +1,11 @@
 // §4.4.1 vs §4.4.2 — conservative vs "optimal" barrier insertion, on both
-// machines. Wall-clock scheduling time is printed but deliberately kept out
-// of the artifacts so reruns stay byte-identical.
-#include <chrono>
-
+// machines. Each point's scheduling wall time is a `--profile` span
+// (insertion_compare.<machine>.<insertion>), never stdout or the artifacts:
+// a wall-clock figure depends on --jobs and the host, and stdout must stay
+// byte-identical across --jobs.
 #include "exp/registry.hpp"
 #include "harness/report.hpp"
+#include "obs/obs.hpp"
 
 namespace bm {
 namespace {
@@ -28,7 +29,7 @@ Experiment make_insertion_compare() {
     const GeneratorConfig gen = ctx.generator_config();
 
     TextTable table({"machine", "insertion", "barriers/blk", "inserted/blk",
-                     "static frac", "compl max", "sched time/blk"});
+                     "static frac", "compl max"});
     const std::string path = ctx.artifacts().csv_path();
     CsvWriter csv(path);
     csv.write_row({"machine", "insertion", "barriers", "inserted",
@@ -39,20 +40,20 @@ Experiment make_insertion_compare() {
         SchedulerConfig cfg = ctx.scheduler_config();
         cfg.machine = machine;
         cfg.insertion = insertion;
-        const auto start = std::chrono::steady_clock::now();
-        const PointAggregate agg = run_point(gen, cfg, opt);
-        const auto elapsed = std::chrono::duration<double, std::micro>(
-                                 std::chrono::steady_clock::now() - start)
-                                 .count() /
-                             static_cast<double>(opt.seeds);
+        const PointAggregate agg = [&] {
+          BM_OBS_SPAN(span,
+                      "insertion_compare." + std::string(to_string(machine)) +
+                          "." + std::string(to_string(insertion)),
+                      "exp");
+          return run_point(gen, cfg, opt);
+        }();
         const FractionAggregate& f = agg.fractions;
         table.add_row({std::string(to_string(machine)),
                        std::string(to_string(insertion)),
                        TextTable::num(f.barriers.mean(), 2),
                        TextTable::num(f.barriers_inserted.mean(), 2),
                        TextTable::pct(f.static_frac.mean()),
-                       TextTable::num(f.completion_max.mean(), 1),
-                       TextTable::num(elapsed, 0) + "us"});
+                       TextTable::num(f.completion_max.mean(), 1)});
         csv.write_row({std::string(to_string(machine)),
                        std::string(to_string(insertion)),
                        std::to_string(f.barriers.mean()),

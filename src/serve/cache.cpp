@@ -6,24 +6,23 @@
 namespace bm::serve {
 
 ScheduleCache::ScheduleCache(std::size_t max_entries, std::size_t max_bytes)
-    : max_entries_(max_entries), max_bytes_(max_bytes) {}
+    : lru_(max_entries, max_bytes) {}
 
 ScheduleCache::Hit ScheduleCache::lookup(
     std::uint64_t fingerprint, std::uint64_t config_digest,
     const std::string& canonical_bytes,
     std::span<const std::uint32_t> canon_to_request) {
-  const Key key{fingerprint, config_digest};
   std::string text_canonical;
   ScheduleStats stats;
   {
     OrderedLock lock(mu_);
-    auto it = index_.find(key);
-    if (it == index_.end()) {
+    const Entry* e = lru_.find(Key{fingerprint, config_digest});
+    if (e == nullptr) {
       ++stats_.misses;
       BM_OBS_COUNT("cache.miss");
       return {};
     }
-    if (it->second->canonical_bytes != canonical_bytes) {
+    if (e->canonical_bytes != canonical_bytes) {
       // Same 64-bit fingerprint, different canonical program: either a hash
       // collision or a WL-unresolved automorphism tie. Correctness demands
       // a miss; the caller recomputes and insert() replaces this entry.
@@ -33,11 +32,10 @@ ScheduleCache::Hit ScheduleCache::lookup(
       BM_OBS_COUNT("cache.collision");
       return {};
     }
-    lru_.splice(lru_.begin(), lru_, it->second);  // touch
     ++stats_.hits;
     BM_OBS_COUNT("cache.hit");
-    text_canonical = it->second->schedule_text;
-    stats = it->second->stats;
+    text_canonical = e->schedule_text;
+    stats = e->stats;
   }
   // Rewrite outside the lock: O(text) work that needs no cache state.
   Hit hit;
@@ -52,57 +50,34 @@ void ScheduleCache::insert(std::uint64_t fingerprint,
                            std::string canonical_bytes,
                            std::string schedule_text_canonical,
                            const ScheduleStats& stats) {
-  if (max_entries_ == 0) return;
-  Entry e;
-  e.key = Key{fingerprint, config_digest};
-  e.footprint = sizeof(Entry) + canonical_bytes.size() +
-                schedule_text_canonical.size();
-  e.canonical_bytes = std::move(canonical_bytes);
-  e.schedule_text = std::move(schedule_text_canonical);
-  e.stats = stats;
+  if (!lru_.enabled()) return;
+  const std::size_t heap_bytes =
+      canonical_bytes.size() + schedule_text_canonical.size();
+  Entry e{std::move(canonical_bytes), std::move(schedule_text_canonical),
+          stats};
 
+  // A colliding or racing insert replaces the entry: keep the newest
+  // computation.
   OrderedLock lock(mu_);
-  auto it = index_.find(e.key);
-  if (it != index_.end()) {
-    // Colliding or racing insert: keep the newest computation.
-    stats_.bytes -= it->second->footprint;
-    --stats_.entries;
-    lru_.erase(it->second);
-    index_.erase(it);
-  }
-  stats_.bytes += e.footprint;
-  ++stats_.entries;
+  const std::size_t evicted =
+      lru_.put(Key{fingerprint, config_digest}, std::move(e), heap_bytes);
   ++stats_.insertions;
+  stats_.evictions += evicted;
   BM_OBS_COUNT("cache.insert");
-  lru_.push_front(std::move(e));
-  index_.emplace(lru_.front().key, lru_.begin());
-  evict_overflow_locked();
-}
-
-void ScheduleCache::evict_overflow_locked() {
-  while (stats_.entries > max_entries_ ||
-         (max_bytes_ > 0 && stats_.bytes > max_bytes_ && stats_.entries > 1)) {
-    Entry& victim = lru_.back();
-    stats_.bytes -= victim.footprint;
-    --stats_.entries;
-    ++stats_.evictions;
-    BM_OBS_COUNT("cache.evict");
-    index_.erase(victim.key);
-    lru_.pop_back();
-  }
+  if (evicted > 0) BM_OBS_COUNT_N("cache.evict", evicted);
 }
 
 CacheStats ScheduleCache::stats() const {
   OrderedLock lock(mu_);
-  return stats_;
+  CacheStats out = stats_;
+  out.entries = lru_.size();
+  out.bytes = lru_.bytes();
+  return out;
 }
 
 void ScheduleCache::clear() {
   OrderedLock lock(mu_);
   lru_.clear();
-  index_.clear();
-  stats_.entries = 0;
-  stats_.bytes = 0;
 }
 
 }  // namespace bm::serve

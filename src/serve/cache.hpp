@@ -11,17 +11,16 @@
 // rewritten into the request's own numbering via its inverse permutation.
 //
 // Capacity is bounded both by entry count and by total byte footprint
-// (canonical bytes + schedule text); eviction is strict LRU. All methods
-// are safe to call from any worker thread.
+// (canonical bytes + schedule text); eviction is strict LRU
+// (serve/lru.hpp). All methods are safe to call from any worker thread.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <span>
 #include <string>
-#include <unordered_map>
 
 #include "sched/scheduler.hpp"
+#include "serve/lru.hpp"
 #include "support/ordered_mutex.hpp"
 
 namespace bm::serve {
@@ -77,22 +76,14 @@ class ScheduleCache {
     }
   };
   struct Entry {
-    Key key;
     std::string canonical_bytes;
     std::string schedule_text;  ///< canonical numbering
     ScheduleStats stats;
-    std::size_t footprint = 0;
   };
 
-  void evict_overflow_locked();
-
-  const std::size_t max_entries_;
-  const std::size_t max_bytes_;
-
   mutable OrderedMutex mu_{LockLevel::kScheduleCache, "ScheduleCache.mu"};
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
-  CacheStats stats_;
+  BoundedLru<Key, Entry, KeyHash> lru_;
+  CacheStats stats_;  ///< entries/bytes are read from lru_ on demand
 };
 
 }  // namespace bm::serve

@@ -9,37 +9,6 @@
 
 namespace bm::serve {
 
-namespace {
-
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-constexpr std::uint64_t mix2(std::uint64_t a, std::uint64_t b) {
-  return mix64(a ^ (b * 0xD6E8FEB86659FD93ull));
-}
-
-/// Everything that shapes synthesis output, folded into the RNG identity:
-/// the synthesis draws advance the stream the scheduler then continues, so
-/// the cache key must distinguish generator configurations even for the
-/// (fingerprint-identical) programs they might coincide on.
-std::uint64_t gen_digest(const GeneratorConfig& g) {
-  std::uint64_t h = mix64(0x6E6Eull);
-  h = mix2(h, g.num_statements);
-  h = mix2(h, g.num_variables);
-  h = mix2(h, g.num_constants);
-  std::uint64_t prob_bits = 0;
-  static_assert(sizeof(prob_bits) == sizeof(g.const_operand_prob));
-  __builtin_memcpy(&prob_bits, &g.const_operand_prob, sizeof(prob_bits));
-  h = mix2(h, prob_bits);
-  return mix2(h, static_cast<std::uint64_t>(g.const_max));
-}
-
-}  // namespace
-
 /// Checks a session out of the shared idle pool (or creates one: the pool
 /// grows to the worker count and no further, since leases are per-request).
 class ServeCore::SessionLease {
@@ -116,6 +85,7 @@ struct ServeCore::PendingReq {
 ServeCore::ServeCore(CoreConfig cfg)
     : cfg_(std::move(cfg)),
       cache_(cfg_.cache_entries, cfg_.cache_bytes),
+      memo_(cfg_.cache_entries, cfg_.cache_bytes),
       telemetry_(cfg_.telemetry),
       pool_(std::make_unique<ThreadPool>(cfg_.workers)) {}
 
@@ -237,6 +207,7 @@ CoreStats ServeCore::stats() const {
     out = stats_;
   }
   out.cache = cache_.stats();
+  out.memo = memo_.stats();
   return out;
 }
 
@@ -251,6 +222,7 @@ CoreTotals ServeCore::totals() const {
   t.queued = s.queued;
   t.workers = cfg_.workers;
   t.cache = s.cache;
+  t.memo = s.memo;
   return t;
 }
 
@@ -306,6 +278,31 @@ Response ServeCore::process(const Request& req, RequestTiming& rt) {
   throw Error("unhandled verb");
 }
 
+/// Stage 1 on a memo miss: the program, the scheduler's RNG stream and the
+/// canonical form. For synth requests the scheduler continues the synthesis
+/// stream — the exact sequence the experiment harness uses, so a synth
+/// request for (base_seed, index) reproduces the harness schedule
+/// bit-for-bit.
+std::shared_ptr<const FrontEnd> ServeCore::run_front_end(
+    const Request& req, SchedulerSession& session, RequestTiming& rt) {
+  auto fe = std::make_shared<FrontEnd>();
+  fe->rng_key = request_rng_key(req);
+  if (req.verb == Verb::kSynth) {
+    PhaseScope ps(telemetry_, rt, Phase::kSynthesize);
+    fe->rng = benchmark_rng(req.base_seed, req.index);
+    fe->program = session.synthesize(req.gen, fe->rng).program;
+  } else {
+    PhaseScope ps(telemetry_, rt, Phase::kCompile);
+    fe->program = session.compile_source(req.source);
+    fe->rng = Rng(req.seed);
+  }
+  BM_REQUIRE(!fe->program.empty(), "program optimized to an empty block");
+  PhaseScope ps(telemetry_, rt, Phase::kFingerprint);
+  fe->canon = canonicalize_program(fe->program);
+  fe->fingerprint_hex = fingerprint_hex(fe->canon.fingerprint);
+  return fe;
+}
+
 Response ServeCore::process_scheduling(const Request& req, RequestTiming& rt) {
   Response resp;
   resp.id = req.id;
@@ -313,54 +310,41 @@ Response ServeCore::process_scheduling(const Request& req, RequestTiming& rt) {
   SessionLease session(*this);
   const TimingModel timing = TimingModel::table1();
 
-  // Stage 1: obtain the program and the scheduler's RNG stream. For synth
-  // requests the scheduler continues the synthesis stream — the exact
-  // sequence the experiment harness uses, so a synth request for
-  // (base_seed, index) reproduces the harness schedule bit-for-bit.
-  // Attributed to kColdSchedule: synthesis/compilation runs even on the
-  // hit path (the fingerprint needs the program), and it is the same
-  // compute the cold path spends.
-  Program program;
-  Rng rng = benchmark_rng(req.base_seed, req.index);
-  std::uint64_t rng_key = 0;
-  {
-    PhaseScope ps(telemetry_, rt, Phase::kColdSchedule);
-    if (req.verb == Verb::kSynth) {
-      const SynthesisResult synth = session->synthesize(req.gen, rng);
-      program = synth.program;
-      rng_key = mix2(mix2(req.base_seed, req.index), gen_digest(req.gen));
-    } else {
-      program = session->compile_source(req.source);
-      rng = Rng(req.seed);
-      rng_key = mix2(0x5C4Ed01Eull, req.seed);
-    }
+  // Stage 1: the front end, from the memo when this exact request was
+  // answered from the schedule cache before. no-cache requests bypass the
+  // memo as they bypass the cache.
+  const bool use_memo = !req.no_cache && memo_.enabled();
+  FrontEndKey key;
+  std::shared_ptr<const FrontEnd> fe;
+  if (use_memo) {
+    PhaseScope ps(telemetry_, rt, Phase::kCacheLookup);
+    key = FrontEndKey::of(req);
+    fe = memo_.lookup(key);
   }
-  BM_REQUIRE(!program.empty(), "program optimized to an empty block");
+  const bool memo_hit = fe != nullptr;
+  if (!memo_hit) fe = run_front_end(req, *session, rt);
+  resp.fingerprint = fe->fingerprint_hex;
 
   // Stage 2: cache probe under the canonical fingerprint.
-  CanonicalProgram canon;
   std::uint64_t digest = 0;
-  {
-    PhaseScope ps(telemetry_, rt, Phase::kFingerprint);
-    canon = canonicalize_program(program);
-    digest = config_digest(req.sched, timing, rng_key);
-    resp.fingerprint = fingerprint_hex(canon.fingerprint);
-  }
-
   if (!req.no_cache) {
     ScheduleCache::Hit hit;
     {
       PhaseScope ps(telemetry_, rt, Phase::kCacheLookup);
-      hit = cache_.lookup(canon.fingerprint, digest, canon.bytes,
-                          canon.inv_perm);
+      digest = config_digest(req.sched, timing, fe->rng_key);
+      hit = cache_.lookup(fe->canon.fingerprint, digest, fe->canon.bytes,
+                          fe->canon.inv_perm);
     }
     if (hit.found) {
+      // Admit on the second touch: only a request answered from the cache
+      // enters the memo, so one-off cold requests never displace it.
+      if (use_memo && !memo_hit) memo_.admit(std::move(key), fe);
       resp.cache = CacheOutcome::kHit;
       resp.stats = hit.stats;
       resp.body = std::move(hit.schedule_text);
       if (req.verify) {
         PhaseScope ps(telemetry_, rt, Phase::kVerify);
-        const InstrDag dag = session->build_dag(program, timing);
+        const InstrDag dag = session->build_dag(fe->program, timing);
         const Schedule sched = schedule_from_text(dag, resp.body);
         resp.verify_errors = session->verify(dag, sched).error_count();
       }
@@ -368,11 +352,13 @@ Response ServeCore::process_scheduling(const Request& req, RequestTiming& rt) {
     }
   }
 
-  // Stage 3: cold path — the ordinary pipeline.
+  // Stage 3: cold path — the ordinary pipeline, continuing the stream from
+  // where the front end left it.
   const InstrDag dag = [&] {
     PhaseScope ps(telemetry_, rt, Phase::kColdSchedule);
-    return session->build_dag(program, timing);
+    return session->build_dag(fe->program, timing);
   }();
+  Rng rng = fe->rng;
   ScheduleResult scheduled;
   {
     PhaseScope ps(telemetry_, rt, Phase::kColdSchedule);
@@ -394,8 +380,8 @@ Response ServeCore::process_scheduling(const Request& req, RequestTiming& rt) {
   } else {
     resp.cache = CacheOutcome::kMiss;
     PhaseScope ps(telemetry_, rt, Phase::kSerialize);
-    cache_.insert(canon.fingerprint, digest, canon.bytes,
-                  rewrite_schedule_ids(resp.body, canon.perm),
+    cache_.insert(fe->canon.fingerprint, digest, fe->canon.bytes,
+                  rewrite_schedule_ids(resp.body, fe->canon.perm),
                   scheduled.stats);
   }
   return resp;
@@ -416,6 +402,12 @@ std::string CoreStats::to_text() const {
   t += "cache-evictions " + std::to_string(cache.evictions) + "\n";
   t += "cache-entries " + std::to_string(cache.entries) + "\n";
   t += "cache-bytes " + std::to_string(cache.bytes) + "\n";
+  t += "memo-hits " + std::to_string(memo.hits) + "\n";
+  t += "memo-misses " + std::to_string(memo.misses) + "\n";
+  t += "memo-admissions " + std::to_string(memo.admissions) + "\n";
+  t += "memo-evictions " + std::to_string(memo.evictions) + "\n";
+  t += "memo-entries " + std::to_string(memo.entries) + "\n";
+  t += "memo-bytes " + std::to_string(memo.bytes) + "\n";
   return t;
 }
 

@@ -1,5 +1,6 @@
 // ServeCore: the transport-free heart of bmserve. Owns the worker pool,
-// the schedule cache, and the admission queue; the socket layer
+// the schedule cache, the front-end memo (serve/memo.hpp), and the
+// admission queue; the socket layer
 // (serve/net.hpp) and the in-process tests/benchmarks drive the same code.
 //
 // Life of a request:
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "serve/cache.hpp"
+#include "serve/memo.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
 #include "serve/telemetry.hpp"
@@ -38,6 +40,8 @@ struct CoreConfig {
   /// Maximum admitted-but-unfinished requests (queued + running). Further
   /// submits are rejected until the backlog shrinks.
   std::size_t max_queue = 128;
+  /// Bounds of the schedule cache, and separately of the front-end memo;
+  /// cache_entries == 0 turns both off.
   std::size_t cache_entries = 4096;
   std::size_t cache_bytes = 64u << 20;
   /// Test hook: runs on the worker just before a request is processed.
@@ -56,6 +60,7 @@ struct CoreStats {
   std::uint64_t errors = 0;
   std::uint64_t queued = 0;  ///< current backlog (admitted, unfinished)
   CacheStats cache;
+  MemoStats memo;
 
   std::string to_text() const;
 };
@@ -99,11 +104,15 @@ class ServeCore {
 
   Response process(const Request& req, RequestTiming& timing);
   Response process_scheduling(const Request& req, RequestTiming& timing);
+  std::shared_ptr<const FrontEnd> run_front_end(const Request& req,
+                                                SchedulerSession& session,
+                                                RequestTiming& timing);
   void note_outcome(const Response& resp);
   CoreTotals totals() const;
 
   CoreConfig cfg_;
   ScheduleCache cache_;
+  FrontEndMemo memo_;
 
   mutable OrderedMutex mu_{LockLevel::kServeCore, "ServeCore.mu"};
   std::vector<std::unique_ptr<SchedulerSession>> idle_sessions_;

@@ -94,6 +94,8 @@ void append_quantiles(std::string& out, const obs::LatencyBuckets& b) {
 const char* phase_name(Phase p) {
   switch (p) {
     case Phase::kQueueWait: return "queue_wait";
+    case Phase::kSynthesize: return "synthesize";
+    case Phase::kCompile: return "compile";
     case Phase::kFingerprint: return "fingerprint";
     case Phase::kCacheLookup: return "cache_lookup";
     case Phase::kColdSchedule: return "cold_schedule";
@@ -201,8 +203,8 @@ void ServeTelemetry::append_access_log(const RequestTiming& t) {
 
 /// Standalone Perfetto trace for one slow request: a parent `request` span
 /// on lane 0 plus one span per touched phase, each on its own named lane
-/// so overlapping attribution (cold_schedule accumulates around the
-/// fingerprint/cache phases) renders cleanly. Timestamps are daemon-uptime
+/// so overlapping attribution (cache_lookup accumulates around the
+/// front-end phases on a memo miss) renders cleanly. Timestamps are daemon-uptime
 /// microseconds, so traces from one run are mutually comparable.
 void ServeTelemetry::maybe_emit_slow_trace(const RequestTiming& t) {
   if (cfg_.slow_trace_us == 0 || cfg_.slow_trace_dir.empty()) return;
@@ -340,6 +342,27 @@ std::string ServeTelemetry::stats_json(const CoreTotals& totals) const {
   out += ',';
   key(out, "hit_ratio");
   append_fixed(out, hit_ratio);
+  out += "},";
+
+  key(out, "memo");
+  out += '{';
+  key(out, "hits");
+  append_u64(out, totals.memo.hits);
+  out += ',';
+  key(out, "misses");
+  append_u64(out, totals.memo.misses);
+  out += ',';
+  key(out, "admissions");
+  append_u64(out, totals.memo.admissions);
+  out += ',';
+  key(out, "evictions");
+  append_u64(out, totals.memo.evictions);
+  out += ',';
+  key(out, "entries");
+  append_u64(out, totals.memo.entries);
+  out += ',';
+  key(out, "bytes");
+  append_u64(out, totals.memo.bytes);
   out += "},";
 
   key(out, "latency");

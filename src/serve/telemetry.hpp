@@ -15,9 +15,9 @@
 //   - every request entering ServeCore is stamped with a monotonic
 //     server-side request id (rid) and its admission timestamp;
 //   - the processing pipeline attributes time to phases (queue-wait,
-//     fingerprint, cache lookup, cold schedule, verify, serialize,
-//     write-back) via PhaseScope RAII marks on a per-request
-//     RequestTiming;
+//     synthesize, compile, fingerprint, cache lookup, cold schedule,
+//     verify, serialize, write-back) via PhaseScope RAII marks on a
+//     per-request RequestTiming;
 //   - record() — called exactly once per request, after the response
 //     callback ran — folds the timing into the histograms, appends one
 //     access-log line, and emits a standalone trace if the request was
@@ -37,6 +37,7 @@
 
 #include "obs/latency.hpp"
 #include "serve/cache.hpp"
+#include "serve/memo.hpp"
 #include "serve/protocol.hpp"
 #include "support/ordered_mutex.hpp"
 
@@ -44,9 +45,14 @@ namespace bm::serve {
 
 /// Where a request's wall time went. kQueueWait is admission → worker
 /// pickup; kWriteBack is the response callback (the frame write on the
-/// network path). The scheduling phases mirror ServeCore::process_scheduling.
+/// network path). The scheduling phases mirror ServeCore::process_scheduling:
+/// the front end (kSynthesize or kCompile, then kFingerprint) runs only on a
+/// front-end memo miss; kCacheLookup covers the memo and schedule-cache
+/// probes; kColdSchedule is dag build + scheduling on a schedule-cache miss.
 enum class Phase : std::size_t {
   kQueueWait = 0,
+  kSynthesize,
+  kCompile,
   kFingerprint,
   kCacheLookup,
   kColdSchedule,
@@ -54,7 +60,7 @@ enum class Phase : std::size_t {
   kSerialize,
   kWriteBack,
 };
-inline constexpr std::size_t kNumPhases = 7;
+inline constexpr std::size_t kNumPhases = 9;
 
 /// Snake-case phase name, as used in stats JSON keys and access-log lines.
 const char* phase_name(Phase p);
@@ -118,6 +124,7 @@ struct CoreTotals {
   std::uint64_t queued = 0;
   std::uint64_t workers = 0;
   CacheStats cache;
+  MemoStats memo;
 };
 
 class ServeTelemetry {
@@ -150,7 +157,7 @@ class ServeTelemetry {
   void record(const RequestTiming& t);
 
   /// The `stats v1` snapshot: one JSON object with uptime, inflight,
-  /// queue depth, totals, cache effectiveness, latency quantiles overall /
+  /// queue depth, totals, cache and memo effectiveness, latency quantiles overall /
   /// per phase / over the trailing window, and access-log + slow-trace
   /// state. Also publishes headline values as `serve-metrics.*` gauges.
   std::string stats_json(const CoreTotals& totals) const;
@@ -184,9 +191,9 @@ class ServeTelemetry {
 };
 
 /// RAII phase attribution: adds [construction, destruction) to `timing`'s
-/// slice for `p` on the telemetry time base. Re-entering a phase (the cold
-/// path passes through kColdSchedule twice: synthesis, then scheduling)
-/// accumulates durations and keeps the first start.
+/// slice for `p` on the telemetry time base. Re-entering a phase (a memo
+/// miss passes through kCacheLookup twice: memo probe, then schedule-cache
+/// probe) accumulates durations and keeps the first start.
 class PhaseScope {
  public:
   PhaseScope(const ServeTelemetry& tel, RequestTiming& timing, Phase p)

@@ -60,6 +60,10 @@ enum class LockLevel : std::uint16_t {
   kServeCore = 20,
   /// serve/cache.hpp ScheduleCache::mu_ — LRU list + index + stats.
   kScheduleCache = 30,
+  /// serve/memo.hpp FrontEndMemo::mu_ — front-end memo LRU + stats. A leaf
+  /// beside kScheduleCache: held only around the LRU update, never while
+  /// another serve lock is taken.
+  kFrontEndMemo = 35,
   /// serve/net.cpp ConnState::write_mu — serializes response frames on one
   /// connection fd.
   kConnWrite = 40,

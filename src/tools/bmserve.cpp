@@ -37,8 +37,11 @@ int main(int argc, char** argv) {
       int_flag("workers", 4, "scheduling worker threads"),
       int_flag("max-queue", 128,
                "admitted-request bound; overload is rejected"),
-      int_flag("cache-entries", 4096, "schedule cache entry bound (0 = off)"),
-      int_flag("cache-mb", 64, "schedule cache byte bound (MiB)"),
+      int_flag("cache-entries", 4096,
+               "entry bound of the schedule cache and, separately, of the "
+               "front-end memo (0 = both off)"),
+      int_flag("cache-mb", 64,
+               "byte bound (MiB) of each of the two, schedule cache and memo"),
       string_flag("access-log", "",
                   "JSONL access log path (one line per request)"),
       int_flag("access-log-rotate-mb", 64,

@@ -487,7 +487,7 @@ void check_dependences(const InstrDag& dag, const Schedule& sched,
        << ": no program order, no separating barrier chain, and the timing "
           "windows admit an inversion";
     report.add(VerifyDiagnostic{verify_code::kRace, VerifySeverity::kError,
-                                os.str(), w});
+                                os.str(), w, std::nullopt});
   }
 }
 

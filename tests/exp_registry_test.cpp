@@ -265,8 +265,9 @@ TEST(ExperimentRegistry, EveryExperimentPassesVerification) {
     const double verified = manifest_metric(json, "obs.verify.schedules", 0);
     // These schedule outside run_point; --verify must still reach every
     // schedule they produce.
-    if (exp->name == "control_flow" || exp->name == "utilization")
+    if (exp->name == "control_flow" || exp->name == "utilization") {
       EXPECT_GT(verified, 0);
+    }
     if (verified > 0) {
       // Zero-valued counters are dropped from the manifest delta, so an
       // absent key means zero races/errors — which is exactly the pass.

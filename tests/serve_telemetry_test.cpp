@@ -2,8 +2,8 @@
 //  - the `stats v1` verb answers a parseable JSON snapshot whose totals
 //    partition received = ok + rejected + cancelled + errors + inflight;
 //  - counters are monotonic across polls;
-//  - latency quantiles, per-phase breakdowns, and the cache hit ratio are
-//    internally consistent (BM_OBS builds);
+//  - latency quantiles, per-phase breakdowns, the cache hit ratio and the
+//    front-end memo counts are internally consistent (BM_OBS builds);
 //  - the JSONL access log gets exactly one parseable line per answered
 //    request under concurrent load, and rotates by size;
 //  - requests over the slow threshold emit standalone Perfetto traces,
@@ -98,6 +98,14 @@ TEST(ServeTelemetry, StatsV1ParsesAndTotalsPartition) {
   EXPECT_EQ(snap.num(-1, "cache", "misses"), 3.0);
   EXPECT_EQ(snap.num(-1, "cache", "hits"), 9.0);
   EXPECT_NEAR(snap.num(-1, "cache", "hit_ratio"), 0.75, 1e-9);
+  // The front-end memo admits each seed on its first cache hit (requests
+  // 3..5) and answers the 6 repeats after that.
+  EXPECT_EQ(snap.num(-1, "memo", "misses"), 6.0);
+  EXPECT_EQ(snap.num(-1, "memo", "hits"), 6.0);
+  EXPECT_EQ(snap.num(-1, "memo", "admissions"), 3.0);
+  EXPECT_EQ(snap.num(-1, "memo", "evictions"), 0.0);
+  EXPECT_EQ(snap.num(-1, "memo", "entries"), 3.0);
+  EXPECT_GT(snap.num(-1, "memo", "bytes"), 0.0);
 
 #if BM_OBS_ENABLED
   // 12 answered requests before this poll (the poll is still inflight).
@@ -107,8 +115,12 @@ TEST(ServeTelemetry, StatsV1ParsesAndTotalsPartition) {
   EXPECT_GT(p50, 0.0);
   EXPECT_LE(p50, p99);
   EXPECT_LE(p99, snap.num(-1, "latency", "max_us"));
-  // Phase histograms saw the scheduling stages.
-  EXPECT_EQ(snap.num(-1, "phases", "cold_schedule", "count"), 12.0);
+  // Phase histograms saw the scheduling stages: the front end ran for the
+  // 6 memo misses, dag build + scheduling only for the 3 cold requests.
+  EXPECT_EQ(snap.num(-1, "phases", "synthesize", "count"), 6.0);
+  EXPECT_EQ(snap.num(-1, "phases", "compile", "count"), 0.0);
+  EXPECT_EQ(snap.num(-1, "phases", "fingerprint", "count"), 6.0);
+  EXPECT_EQ(snap.num(-1, "phases", "cold_schedule", "count"), 3.0);
   EXPECT_EQ(snap.num(-1, "phases", "cache_lookup", "count"), 12.0);
   EXPECT_GT(snap.num(-1, "window", "quantiles", "count"), 0.0);
 #endif
