@@ -192,6 +192,22 @@ def cmd_run(args):
     return 0
 
 
+def host_stamp(doc):
+    ctx = doc.get("context", {})
+    return ctx.get("host_name"), ctx.get("num_cpus")
+
+
+def report_hosts(baseline_doc, current_doc, out=sys.stdout):
+    """Prints both host stamps; warns when the baseline came from another
+    host (the verdicts below are unchanged, only labelled)."""
+    base, cur = host_stamp(baseline_doc), host_stamp(current_doc)
+    print(f"baseline host: host_name={base[0]} num_cpus={base[1]}", file=out)
+    print(f"current host:  host_name={cur[0]} num_cpus={cur[1]}", file=out)
+    if base != cur:
+        print("WARNING: baselines from another host — ratios mix host and "
+              "code differences", file=out)
+
+
 def cmd_check(args):
     baseline = load(args.baseline)
     current = load(args.current)
@@ -205,6 +221,7 @@ def cmd_check(args):
         print(f"bench_gate: no gated benchmark list for {args.baseline}",
               file=sys.stderr)
         return 2
+    report_hosts(baseline, current)
     failures = compare(baseline, current, gated)
     if failures:
         print(f"bench_gate: FAIL — {len(failures)} gated regression(s): "

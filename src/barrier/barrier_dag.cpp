@@ -9,323 +9,506 @@
 
 namespace bm {
 
+namespace {
+
+std::uint64_t edge_key(BarrierId a, BarrierId b) {
+  return (static_cast<std::uint64_t>(a) << 32) | b;
+}
+
+}  // namespace
+
 BarrierDag::BarrierDag(std::size_t num_barrier_ids, BarrierId initial,
                        std::span<const BarrierChainInput> chains,
-                       Time barrier_latency) {
-  init(num_barrier_ids, initial, chains, barrier_latency);
-}
-
-void BarrierDag::rebuild(std::size_t num_barrier_ids, BarrierId initial,
-                         std::span<const BarrierChainInput> chains,
-                         Time barrier_latency) {
-  // Settle the generation being replaced exactly as its destructor would
-  // have, then start a fresh tally for the new one.
-  fold_tally();
-  tally_.hits = tally_.misses = 0;
-  tally_.live = true;
-  init(num_barrier_ids, initial, chains, barrier_latency);
-}
-
-void BarrierDag::init(std::size_t num_barrier_ids, BarrierId initial,
-                      std::span<const BarrierChainInput> chains,
-                      Time barrier_latency) {
+                       Time barrier_latency)
+    : initial_(initial), latency_(barrier_latency) {
   BM_REQUIRE(initial < num_barrier_ids, "initial barrier id out of range");
   BM_REQUIRE(barrier_latency >= 0, "barrier latency must be >= 0");
-  initial_ = initial;
-  latency_ = barrier_latency;
-  index_.assign(num_barrier_ids, kInvalidNode);
-  ids_.clear();
-  edges_.clear();
-  lazy_g_.reset();
-  dom_valid_ = false;
-  linext_.clear();
+  grow(num_barrier_ids);
+  std::fill(overlap_dirty_.begin(), overlap_dirty_.end(), ~std::uint64_t{0});
 
-  auto intern = [&](BarrierId b) -> NodeId {
-    BM_REQUIRE(b < index_.size(), "barrier id out of range");
-    if (index_[b] == kInvalidNode) {
-      index_[b] = static_cast<NodeId>(ids_.size());
-      ids_.push_back(b);
-    }
-    return index_[b];
-  };
-  intern(initial_);
-
-  for (const BarrierChainInput& chain : chains) {
+  // Ports straight from the chains: chains are visited in order, so each
+  // barrier's ports come out sorted by chain, and a barrier met twice on
+  // one chain (necessarily non-consecutively) closes a cycle.
+  for (std::uint32_t c = 0; c < chains.size(); ++c) {
+    const BarrierChainInput& chain = chains[c];
     BM_REQUIRE(!chain.barriers.empty() && chain.barriers.front() == initial_,
                "every chain must start at the initial barrier");
     BM_REQUIRE(chain.segments.size() + 1 == chain.barriers.size(),
                "chain segment count mismatch");
-    for (std::size_t i = 0; i + 1 < chain.barriers.size(); ++i) {
-      const NodeId u = intern(chain.barriers[i]);
-      const NodeId v = intern(chain.barriers[i + 1]);
-      BM_REQUIRE(u != v, "consecutive chain barriers must differ");
-      edges_.emplace_back(edge_key(u, v), chain.segments[i]);
+    const std::size_t k = chain.barriers.size();
+    for (std::size_t i = 0; i < k; ++i) {
+      const BarrierId b = chain.barriers[i];
+      BM_REQUIRE(b < ports_.size(), "barrier id out of range");
+      const bool last = i + 1 == k;
+      BM_REQUIRE(last || chain.barriers[i + 1] != b,
+                 "consecutive chain barriers must differ");
+      std::vector<Port>& ps = ports_[b];
+      BM_REQUIRE(ps.empty() || ps.back().chain != c, "graph has a cycle");
+      if (ps.empty()) ++live_;
+      ps.push_back({c, i > 0 ? chain.barriers[i - 1] : kInvalidBarrier,
+                    last ? kInvalidBarrier : chain.barriers[i + 1],
+                    i > 0 ? chain.segments[i - 1] : TimeRange{0, 0},
+                    last ? TimeRange{0, 0} : chain.segments[i]});
     }
   }
-  const std::size_t n_nodes = ids_.size();
+  if (ports_[initial_].empty()) {  // no chains: the initial barrier alone
+    ports_[initial_].push_back(
+        {0, kInvalidBarrier, kInvalidBarrier, {0, 0}, {0, 0}});
+    ++live_;
+  }
 
-  // Aggregate parallel chain traversals of one edge with the Fig. 13 rule
-  // (join_max), collapsing the raw list into a sorted unique-key table.
-  // Keys are (source<<32)|target with both halves < n_nodes, so two stable
-  // counting passes (by target, then by source) produce the full key order
-  // in O(E + B) — cheaper than a comparison sort for the short, re-sorted-
-  // per-rebuild chain edge lists.
+  // Kahn order from the initial barrier (every other barrier has an
+  // in-port); completing it doubles as the acyclicity check.
   {
-    ScratchVec<std::pair<std::uint64_t, TimeRange>> tmp_s;
-    ScratchVec<std::uint32_t> cnt_s;
-    auto& tmp = *tmp_s;
-    auto& cnt = *cnt_s;
-    tmp.resize(edges_.size());
-    cnt.assign(n_nodes + 1, 0);
-    for (const auto& e : edges_) ++cnt[static_cast<NodeId>(e.first) + 1];
-    for (std::size_t v = 1; v <= n_nodes; ++v) cnt[v] += cnt[v - 1];
-    for (const auto& e : edges_) tmp[cnt[static_cast<NodeId>(e.first)]++] = e;
-    cnt.assign(n_nodes + 1, 0);
-    for (const auto& e : tmp) ++cnt[(e.first >> 32) + 1];
-    for (std::size_t v = 1; v <= n_nodes; ++v) cnt[v] += cnt[v - 1];
-    for (const auto& e : tmp) edges_[cnt[e.first >> 32]++] = e;
+    ScratchVec<std::uint32_t> indeg_s;
+    auto& indeg = *indeg_s;
+    indeg.assign(ports_.size(), 0);
+    for (const auto& ps : ports_)
+      for (const Port& p : ps)
+        if (p.succ != kInvalidBarrier) ++indeg[p.succ];
+    topo_.push_back(initial_);
+    for (std::size_t k = 0; k < topo_.size(); ++k)
+      for (const Port& p : ports_[topo_[k]])
+        if (p.succ != kInvalidBarrier && --indeg[p.succ] == 0)
+          topo_.push_back(p.succ);
   }
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    if (out > 0 && edges_[out - 1].first == edges_[i].first)
-      edges_[out - 1].second = edges_[out - 1].second.join_max(edges_[i].second);
-    else
-      edges_[out++] = edges_[i];
-  }
-  edges_.resize(out);
+  BM_REQUIRE(topo_.size() == live_, "graph has a cycle");
 
-  // Flat weighted adjacency straight from the sorted unique edge table (its
-  // key order groups edges by source node), reused with `topo_` by every ψ
-  // sweep. No per-node Digraph is materialized here — see lazy_digraph().
-  adj_off_.assign(n_nodes + 1, 0);
-  indeg_.assign(n_nodes, 0);
-  for (const auto& [key, w] : edges_) {
-    ++adj_off_[(key >> 32) + 1];
-    ++indeg_[static_cast<NodeId>(key)];
-  }
-  for (std::size_t v = 1; v <= n_nodes; ++v) adj_off_[v] += adj_off_[v - 1];
-  adj_dat_.resize(edges_.size());
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    const auto& [key, w] = edges_[i];
-    adj_dat_[i] = {static_cast<NodeId>(key),
-                   TimeRange{w.min + latency_, w.max + latency_}};
-  }
-
-  // Kahn order over the CSR; completing it doubles as the acyclicity check,
-  // saving a separate is_dag sweep in this rebuilt-per-mutation constructor.
-  topo_.clear();
-  topo_.reserve(n_nodes);
-  {
-    ScratchVec<std::uint32_t> indeg_scratch;
-    auto& indeg = *indeg_scratch;
-    indeg.assign(indeg_.begin(), indeg_.end());
-    for (NodeId n = 0; n < n_nodes; ++n)
-      if (indeg[n] == 0) topo_.push_back(n);
-    for (std::size_t k = 0; k < topo_.size(); ++k) {
-      const NodeId n = topo_[k];
-      for (std::uint32_t e = adj_off_[n]; e < adj_off_[n + 1]; ++e)
-        if (--indeg[adj_dat_[e].to] == 0) topo_.push_back(adj_dat_[e].to);
-    }
-  }
-  BM_REQUIRE(topo_.size() == n_nodes, "graph has a cycle");
-
-  // ψ caches: flat B×B rows, uninitialized (`new Time[...]` without parens
-  // skips the value-init zero-fill; psi_row overwrites a row before reading
-  // it). The fire-range computation below always fills the root rows, so
-  // the buffers are never allocated in vain; a power-of-two capacity is
-  // kept across rebuilds so the scheduler's one-barrier-at-a-time growth
-  // reallocates only logarithmically often.
-  const std::size_t psi_need = n_nodes * n_nodes;
-  if (psi_cap_ < psi_need || !psi_min_cache_) {
-    const std::size_t cap = std::bit_ceil(psi_need);
-    psi_cap_ = 0;  // stay consistent if an allocation throws
-    psi_min_cache_.reset(new Time[cap]);
-    psi_max_cache_.reset(new Time[cap]);
-    psi_cap_ = cap;
-  }
-  psi_min_filled_.assign(n_nodes, 0);
-  psi_max_filled_.assign(n_nodes, 0);
-
-  // Reflexive-transitive closure as flat bit rows, in reverse topological
-  // order. (Built before the fire ranges: the ψ sweeps prune on it.)
-  reach_stride_ = (n_nodes + 63) / 64;
-  reach_.assign(n_nodes * reach_stride_, 0);
+  // Reflexive-transitive closure in reverse topological order, then fire
+  // ranges and dominators in topological order.
   for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-    const NodeId n = *it;
-    std::uint64_t* row = reach_.data() + n * reach_stride_;
-    row[n >> 6] |= std::uint64_t{1} << (n & 63);
-    for (std::uint32_t e = adj_off_[n]; e < adj_off_[n + 1]; ++e) {
-      const std::uint64_t* src = reach_.data() + adj_dat_[e].to * reach_stride_;
-      for (std::size_t w = 0; w < reach_stride_; ++w) row[w] |= src[w];
+    std::uint64_t* row = reach_row(*it);
+    row[*it >> 6] |= std::uint64_t{1} << (*it & 63);
+    for (const Port& p : ports_[*it]) {
+      if (p.succ == kInvalidBarrier) continue;
+      const std::uint64_t* src = reach_row(p.succ);
+      for (std::size_t w = 0; w < words_; ++w) row[w] |= src[w];
     }
   }
-
-  // Fire ranges: longest paths from the initial barrier under min and max
-  // edge times (achieved by the all-min / all-max draws respectively).
-  const NodeId root = index_[initial_];
-  const Time* fmin = psi_row(root, /*use_max=*/false);
-  const Time* fmax = psi_row(root, /*use_max=*/true);
-  fire_.resize(n_nodes);
-  for (NodeId n = 0; n < n_nodes; ++n) {
-    BM_REQUIRE(fmin[n] != kUnreachable,
-               "barrier not reachable from the initial barrier");
-    fire_[n] = TimeRange{fmin[n], fmax[n]};
+  for (std::size_t k = 0; k < topo_.size(); ++k) {
+    topo_pos_[topo_[k]] = static_cast<std::uint32_t>(k);
+    settle(topo_[k]);
   }
-}
-
-const Digraph& BarrierDag::lazy_digraph() const {
-  if (!lazy_g_) {
-    auto g = std::make_unique<Digraph>();
-    for (std::size_t n = 0; n < size(); ++n) g->add_node();
-    for (const auto& [key, w] : edges_)
-      g->add_edge(static_cast<NodeId>(key >> 32), static_cast<NodeId>(key));
-    lazy_g_ = std::move(g);
-  }
-  return *lazy_g_;
-}
-
-void BarrierDag::fold_tally() const {
-  if (!tally_.live) return;  // moved-from shell: tallies were transferred
   BM_OBS_COUNT("barrier.dag_builds");
+}
+
+void BarrierDag::grow(std::size_t bound) {
+  if (bound > ports_.size()) {
+    ports_.resize(bound);
+    fire_.resize(bound);
+    idom_.resize(bound, kInvalidBarrier);
+    dom_depth_.resize(bound, 0);
+    topo_pos_.resize(bound, 0);
+    for (auto& slots : psi_slot_) slots.resize(bound, kNoRow);
+  }
+  if (bound <= cap_) return;
+  const std::size_t cap = std::bit_ceil(std::max<std::size_t>(bound, 64));
+  const std::size_t words = cap / 64;
+  auto relayout = [&](std::vector<std::uint64_t>& rows) {
+    std::vector<std::uint64_t> wide(cap * words, 0);
+    for (std::size_t u = 0; u < cap_; ++u)
+      std::copy_n(rows.begin() + u * words_, words_, wide.begin() + u * words);
+    rows.swap(wide);
+  };
+  relayout(reach_);
+  relayout(overlap_);
+  overlap_dirty_.resize(words, 0);
+  // ψ rows are cap_ wide: drop them all rather than re-stride.
+  for (auto& slots : psi_slot_) std::fill(slots.begin(), slots.end(), kNoRow);
+  psi_pool_.clear();
+  psi_free_.clear();
+  cap_ = cap;
+  words_ = words;
+}
+
+const BarrierDag::Port* BarrierDag::find_port(BarrierId b,
+                                              std::uint32_t chain) const {
+  const std::vector<Port>& ps = ports_[b];
+  const auto it = std::lower_bound(
+      ps.begin(), ps.end(), chain,
+      [](const Port& p, std::uint32_t c) { return p.chain < c; });
+  return it != ps.end() && it->chain == chain ? &*it : nullptr;
+}
+
+BarrierDag::Port* BarrierDag::port_on(BarrierId b, std::uint32_t chain) {
+  Port* p = const_cast<Port*>(find_port(b, chain));
+  BM_ASSERT_INTERNAL(p != nullptr, "barrier missing from its chain");
+  return p;
+}
+
+void BarrierDag::settle(BarrierId b) {
+  if (b == initial_) {
+    fire_[b] = {0, 0};
+    idom_[b] = b;
+    dom_depth_[b] = 0;
+    return;
+  }
+  const std::vector<Port>& ps = ports_[b];
+  BM_ASSERT_INTERNAL(!ps.empty() && ps.front().pred != kInvalidBarrier,
+                     "non-initial barrier without a predecessor");
+  TimeRange f{kUnreachable, kUnreachable};
+  BarrierId dom = ps.front().pred;
+  for (const Port& p : ps) {
+    const TimeRange via = fire_[p.pred] + p.in;
+    f.min = std::max(f.min, via.min + latency_);
+    f.max = std::max(f.max, via.max + latency_);
+    dom = nearest_common_dominator(dom, p.pred);
+  }
+  fire_[b] = f;
+  // On a dag, processing barriers in topological order makes the nearest
+  // common dominator of the predecessors exact: b's immediate dominator.
+  idom_[b] = dom;
+  dom_depth_[b] = dom_depth_[dom] + 1;
+}
+
+BarrierId BarrierDag::nearest_common_dominator(BarrierId a,
+                                               BarrierId b) const {
+  while (a != b) {
+    if (dom_depth_[a] >= dom_depth_[b])
+      a = idom_[a];
+    else
+      b = idom_[b];
+  }
+  return a;
+}
+
+void BarrierDag::settle_descendants(BarrierId b) {
+  // b's descendants keep their relative order but move after b; everything
+  // else keeps its place. Valid because no edge leaves the descendant set.
+  ScratchVec<BarrierId> tail_s;
+  auto& tail = *tail_s;
+  tail.clear();
+  tail.push_back(b);
+  std::size_t out = 0, first_moved = topo_.size();
+  for (std::size_t k = 0; k < topo_.size(); ++k) {
+    const BarrierId n = topo_[k];
+    const bool moves = n == b || !known(n) || reach_test(b, n);
+    if (moves && first_moved == topo_.size()) first_moved = k;
+    if (moves) {
+      if (n != b && known(n)) tail.push_back(n);
+    } else {
+      topo_[out++] = n;
+    }
+  }
+  topo_.resize(out);
+  topo_.insert(topo_.end(), tail.begin(), tail.end());
+  for (std::size_t k = std::min(first_moved, out); k < topo_.size(); ++k)
+    topo_pos_[topo_[k]] = static_cast<std::uint32_t>(k);
+  for (const BarrierId n : tail) settle(n);
+}
+
+void BarrierDag::drop_psi_row(BarrierId src) {
+  for (auto& slots : psi_slot_) {
+    if (slots[src] == kNoRow) continue;
+    psi_free_.push_back(slots[src]);
+    slots[src] = kNoRow;
+  }
+}
+
+void BarrierDag::drop_psi_rows_reaching(BarrierId b) {
+  // A row whose source does not reach b sees none of the changed edges;
+  // only its (never written, or stale) entry for b must read unreachable.
+  for (BarrierId s = 0; s < ports_.size(); ++s) {
+    if (known(s) && reach_test(s, b)) {
+      drop_psi_row(s);
+      continue;
+    }
+    for (const auto& slots : psi_slot_)
+      if (slots[s] != kNoRow)
+        psi_pool_[std::size_t{slots[s]} * cap_ + b] = kUnreachable;
+  }
+}
+
+void BarrierDag::mark_dirty(BarrierId b) {
+  const std::uint64_t* row = reach_row(b);
+  for (std::size_t w = 0; w < words_; ++w) overlap_dirty_[w] |= row[w];
+  ids_.clear();
+  linext_.clear();
+  paths_.reset();
+}
+
+bool BarrierDag::add_barrier(BarrierId id, std::span<const Splice> at) {
+  BM_REQUIRE(!at.empty(), "barrier needs at least one chain");
+  BM_REQUIRE(!known(id), "barrier id already in the dag");
+  for (std::size_t i = 0; i < at.size(); ++i) {
+    const Splice& s = at[i];
+    BM_REQUIRE(known(s.pred), "unknown barrier id");
+    const Port* p = find_port(s.pred, s.chain);
+    BM_REQUIRE(p != nullptr && p->succ == s.succ,
+               "splice must fall between consecutive chain barriers");
+    for (std::size_t j = 0; j < i; ++j)
+      BM_REQUIRE(at[j].chain != s.chain, "duplicate chain in barrier splice");
+  }
+  // The new barrier closes a cycle iff some successor already reaches
+  // some predecessor.
+  for (const Splice& s : at) {
+    if (s.succ == kInvalidBarrier) continue;
+    for (const Splice& t : at)
+      if (reach_test(s.succ, t.pred)) return false;
+  }
+  grow(std::size_t{id} + 1);
+
+  std::vector<Port>& xs = ports_[id];
+  for (const Splice& s : at) {
+    Port* p = port_on(s.pred, s.chain);
+    p->succ = id;
+    p->out = s.before;
+    if (s.succ != kInvalidBarrier) {
+      Port* q = port_on(s.succ, s.chain);
+      q->pred = id;
+      q->in = s.after;
+    }
+    xs.push_back({s.chain, s.pred, s.succ, s.before, s.after});
+  }
+  std::sort(xs.begin(), xs.end(),
+            [](const Port& a, const Port& b) { return a.chain < b.chain; });
+  ++live_;
+
+  // Reachability only grows: id reaches what its successors reach, and
+  // every ancestor (whatever reaches a predecessor) gains id's row.
+  std::uint64_t* row = reach_row(id);
+  row[id >> 6] |= std::uint64_t{1} << (id & 63);
+  for (const Port& p : xs) {
+    if (p.succ == kInvalidBarrier) continue;
+    const std::uint64_t* src = reach_row(p.succ);
+    for (std::size_t w = 0; w < words_; ++w) row[w] |= src[w];
+  }
+  std::uint32_t last_pred = 0;  // ancestors precede it in topo_
+  for (const Splice& s : at) last_pred = std::max(last_pred, topo_pos_[s.pred]);
+  for (std::uint32_t k = 0; k <= last_pred; ++k) {
+    const BarrierId a = topo_[k];
+    bool ancestor = false;
+    for (const Splice& s : at) ancestor = ancestor || reach_test(a, s.pred);
+    if (!ancestor) continue;
+    std::uint64_t* arow = reach_row(a);
+    for (std::size_t w = 0; w < words_; ++w) arow[w] |= row[w];
+  }
+
+  settle_descendants(id);
+  drop_psi_rows_reaching(id);
+  mark_dirty(id);
+  return true;
+}
+
+void BarrierDag::merge(BarrierId keep, BarrierId victim) {
+  require_known(keep);
+  require_known(victim);
+  BM_REQUIRE(keep != victim && !ordered(keep, victim),
+             "merged barriers must be unordered");
+  std::vector<Port>& ks = ports_[keep];
+  for (const Port& v : ports_[victim]) {
+    port_on(v.pred, v.chain)->succ = keep;
+    if (v.succ != kInvalidBarrier) port_on(v.succ, v.chain)->pred = keep;
+    // Unordered barriers never share a chain, so the chains are disjoint.
+    ks.insert(std::lower_bound(ks.begin(), ks.end(), v,
+                               [](const Port& a, const Port& b) {
+                                 return a.chain < b.chain;
+                               }),
+              v);
+  }
+  ports_[victim].clear();
+  --live_;
+  drop_psi_row(victim);
+
+  // keep now reaches what either reached; whatever reached either now
+  // reaches keep's whole row. victim's bit and row disappear.
+  std::uint64_t* krow = reach_row(keep);
+  std::uint64_t* vrow = reach_row(victim);
+  const std::uint64_t vbit = std::uint64_t{1} << (victim & 63);
+  for (std::size_t w = 0; w < words_; ++w) krow[w] |= vrow[w];
+  krow[victim >> 6] &= ~vbit;
+  std::fill(vrow, vrow + words_, 0);
+  const std::uint32_t last = std::max(topo_pos_[keep], topo_pos_[victim]);
+  for (std::uint32_t k = 0; k < last; ++k) {  // ancestors precede both
+    const BarrierId a = topo_[k];
+    if (a == keep || a == victim) continue;
+    std::uint64_t* arow = reach_row(a);
+    if (!(arow[victim >> 6] & vbit) && !reach_test(a, keep)) continue;
+    for (std::size_t w = 0; w < words_; ++w) arow[w] |= krow[w];
+    arow[victim >> 6] &= ~vbit;
+  }
+
+  settle_descendants(keep);
+  drop_psi_rows_reaching(keep);
+  mark_dirty(keep);
+  overlap_dirty_[victim >> 6] |= vbit;
+}
+
+void BarrierDag::refresh_overlaps() const {
+  ScratchVec<BarrierId> dirty_s;
+  auto& dirty = *dirty_s;
+  dirty.clear();
+  for (std::size_t w = 0; w < words_; ++w) {
+    for (std::uint64_t word = overlap_dirty_[w]; word != 0; word &= word - 1) {
+      const std::size_t a = w * 64 + __builtin_ctzll(word);
+      if (a < ports_.size()) dirty.push_back(static_cast<BarrierId>(a));
+    }
+    overlap_dirty_[w] = 0;
+  }
+  if (dirty.empty()) return;
+  // Clear every stale pair first (the matrix is symmetric, so row a names
+  // the rows holding a's column bit), then re-derive the dirty rows.
+  for (const BarrierId a : dirty) {
+    std::uint64_t* row = overlap_.data() + a * words_;
+    for (std::size_t w = 0; w < words_; ++w) {
+      for (std::uint64_t word = row[w]; word != 0; word &= word - 1) {
+        const std::size_t b = w * 64 + __builtin_ctzll(word);
+        overlap_[b * words_ + (a >> 6)] &= ~(std::uint64_t{1} << (a & 63));
+      }
+      row[w] = 0;
+    }
+  }
+  for (const BarrierId a : dirty) {
+    if (!known(a) || a == initial_) continue;
+    for (const BarrierId b : topo_) {
+      if (b == a || b == initial_) continue;
+      if (!fire_[a].overlaps(fire_[b]) || reach_test(a, b) || reach_test(b, a))
+        continue;
+      overlap_[a * words_ + (b >> 6)] |= std::uint64_t{1} << (b & 63);
+      overlap_[b * words_ + (a >> 6)] |= std::uint64_t{1} << (a & 63);
+    }
+  }
+}
+
+BarrierDag::~BarrierDag() {
   if (tally_.hits > 0) BM_OBS_COUNT_N("barrier.psi_cache_hits", tally_.hits);
   if (tally_.misses > 0)
     BM_OBS_COUNT_N("barrier.psi_cache_misses", tally_.misses);
 }
 
-BarrierDag::~BarrierDag() { fold_tally(); }
-
-const TimeRange* BarrierDag::find_edge(NodeId a, NodeId b) const {
-  const std::uint64_t key = edge_key(a, b);
-  const auto it = std::lower_bound(
-      edges_.begin(), edges_.end(), key,
-      [](const auto& e, std::uint64_t k) { return e.first < k; });
-  if (it == edges_.end() || it->first != key) return nullptr;
-  return &it->second;
-}
-
-const Time* BarrierDag::psi_row(NodeId src, bool use_max) const {
-  std::uint8_t& filled = use_max ? psi_max_filled_[src] : psi_min_filled_[src];
-  Time* const cache = (use_max ? psi_max_cache_ : psi_min_cache_).get();
-  if (filled) {
+const Time* BarrierDag::psi_row(BarrierId src, bool use_max) const {
+  std::uint32_t& slot = psi_slot_[use_max][src];
+  if (slot != kNoRow) {
     ++tally_.hits;  // memo hit: O(1) amortized queries
-    return cache + src * size();
+    return psi_pool_.data() + std::size_t{slot} * cap_;
   }
   ++tally_.misses;
-  Time* dist = cache + src * size();
-  filled = 1;
-  std::fill(dist, dist + size(), kUnreachable);
+  if (!psi_free_.empty()) {
+    slot = psi_free_.back();
+    psi_free_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(psi_pool_.size() / cap_);
+    psi_pool_.resize(psi_pool_.size() + cap_);
+  }
+  Time* dist = psi_pool_.data() + std::size_t{slot} * cap_;
+  std::fill(dist, dist + ports_.size(), kUnreachable);
   dist[src] = 0;
-  for (NodeId n : topo_) {
+  for (std::size_t k = topo_pos_[src]; k < topo_.size(); ++k) {
+    const BarrierId n = topo_[k];
     if (!reach_test(src, n) || dist[n] == kUnreachable) continue;
-    for (std::uint32_t e = adj_off_[n]; e < adj_off_[n + 1]; ++e) {
-      const WeightedEdge& we = adj_dat_[e];
-      const Time d = dist[n] + (use_max ? we.w.max : we.w.min);
-      if (d > dist[we.to]) dist[we.to] = d;
+    for (const Port& p : ports_[n]) {
+      if (p.succ == kInvalidBarrier) continue;
+      const Time d = dist[n] + (use_max ? p.out.max : p.out.min) + latency_;
+      if (d > dist[p.succ]) dist[p.succ] = d;
     }
   }
   return dist;
 }
 
-bool BarrierDag::known(BarrierId b) const {
-  return b < index_.size() && index_[b] != kInvalidNode;
+void BarrierDag::require_known(BarrierId b) const {
+  BM_REQUIRE(known(b), "unknown barrier id");
 }
 
-NodeId BarrierDag::index_of(BarrierId b) const {
-  BM_REQUIRE(known(b), "unknown barrier id");
-  return index_[b];
+const std::vector<BarrierId>& BarrierDag::barrier_ids() const {
+  if (!ids_.empty()) return ids_;
+  ScratchVec<std::uint8_t> seen_s;
+  auto& seen = *seen_s;
+  seen.assign(ports_.size(), 0);
+  ids_.push_back(initial_);
+  seen[initial_] = 1;
+  for (const Port& start : ports_[initial_]) {
+    for (BarrierId b = start.succ; b != kInvalidBarrier;
+         b = find_port(b, start.chain)->succ) {
+      if (!seen[b]) ids_.push_back(b);
+      seen[b] = 1;
+    }
+  }
+  return ids_;
 }
 
 bool BarrierDag::has_edge(BarrierId u, BarrierId v) const {
-  return find_edge(index_of(u), index_of(v)) != nullptr;
+  require_known(u);
+  require_known(v);
+  for (const Port& p : ports_[u])
+    if (p.succ == v) return true;
+  return false;
 }
 
 TimeRange BarrierDag::edge_range(BarrierId u, BarrierId v) const {
-  const TimeRange* r = find_edge(index_of(u), index_of(v));
-  BM_REQUIRE(r != nullptr, "no such barrier edge");
-  return *r;
+  BM_REQUIRE(has_edge(u, v), "no such barrier edge");
+  TimeRange r{kUnreachable, kUnreachable};
+  for (const Port& p : ports_[u])
+    if (p.succ == v) r = r.join_max(p.out);
+  return r;
 }
 
 TimeRange BarrierDag::fire_range(BarrierId b) const {
-  return fire_[index_of(b)];
+  require_known(b);
+  return fire_[b];
 }
 
 bool BarrierDag::path_exists(BarrierId u, BarrierId v) const {
-  return reach_test(index_of(u), index_of(v));
+  require_known(u);
+  require_known(v);
+  return reach_test(u, v);
 }
 
 BarrierId BarrierDag::common_dominator(BarrierId a, BarrierId b) const {
-  // Built on first use: rebuilds triggered by merge sweeps often never ask
-  // for a dominator before the next mutation invalidates the dag. The CSR
-  // views are assembled in pooled scratch straight from the sorted edge
-  // table (succ offsets are adj_off_; predecessors via one counting pass),
-  // so no Digraph and no per-node vectors are materialized.
-  if (!dom_valid_) {
-    const std::size_t n = size();
-    ScratchVec<NodeId> sdat_s, pdat_s;
-    ScratchVec<std::uint32_t> poff_s, cur_s;
-    auto& sdat = *sdat_s;
-    auto& pdat = *pdat_s;
-    auto& poff = *poff_s;
-    auto& cur = *cur_s;
-    sdat.resize(edges_.size());
-    for (std::size_t i = 0; i < edges_.size(); ++i)
-      sdat[i] = static_cast<NodeId>(edges_[i].first);
-    poff.resize(n + 1);
-    poff[0] = 0;
-    for (std::size_t v = 0; v < n; ++v) poff[v + 1] = poff[v] + indeg_[v];
-    pdat.resize(edges_.size());
-    cur.assign(poff.begin(), poff.end());
-    for (const auto& [key, w] : edges_)
-      pdat[cur[static_cast<NodeId>(key)]++] = static_cast<NodeId>(key >> 32);
-    if (!dom_) dom_.emplace();
-    dom_->rebuild(CsrAdjacency{{adj_off_.data(), n + 1},
-                               {sdat.data(), sdat.size()},
-                               {poff.data(), n + 1},
-                               {pdat.data(), pdat.size()}},
-                  index_[initial_]);
-    dom_valid_ = true;
-  }
-  return ids_[dom_->common_dominator(index_of(a), index_of(b))];
+  require_known(a);
+  require_known(b);
+  return nearest_common_dominator(a, b);
 }
 
+// From the initial barrier, longest paths are the fire ranges, which every
+// update keeps current: no row to sweep or drop.
 Time BarrierDag::psi_max(BarrierId u, BarrierId v) const {
-  return psi_row(index_of(u), /*use_max=*/true)[index_of(v)];
+  require_known(u);
+  require_known(v);
+  if (u == initial_) return fire_[v].max;
+  return psi_row(u, /*use_max=*/true)[v];
 }
 
 Time BarrierDag::psi_min(BarrierId u, BarrierId v) const {
-  return psi_row(index_of(u), /*use_max=*/false)[index_of(v)];
+  require_known(u);
+  require_known(v);
+  if (u == initial_) return fire_[v].min;
+  return psi_row(u, /*use_max=*/false)[v];
 }
 
 Time BarrierDag::psi_min_star(
     BarrierId u, BarrierId w,
     std::span<const std::pair<BarrierId, BarrierId>> forced_max) const {
   if (forced_max.empty()) return psi_min(u, w);  // plain ψ_min: memo hit
+  require_known(u);
+  require_known(w);
   ScratchVec<std::uint64_t> forced_s;
   auto& forced = *forced_s;
   forced.clear();
   forced.reserve(forced_max.size());
-  for (const auto& [a, b] : forced_max)
-    forced.push_back(edge_key(index_of(a), index_of(b)));
+  for (const auto& [a, b] : forced_max) {
+    require_known(a);
+    require_known(b);
+    forced.push_back(edge_key(a, b));
+  }
   std::sort(forced.begin(), forced.end());
   // The forced-edge set differs per query, so this sweep is not memoizable;
-  // it still reuses the precomputed topo order, CSR adjacency, and
-  // reachability pruning.
-  const NodeId src = index_of(u);
+  // it still reuses the topological order and reachability pruning.
   ScratchVec<Time> dist_s;
   auto& dist = *dist_s;
-  dist.assign(size(), kUnreachable);
-  dist[src] = 0;
-  for (NodeId n : topo_) {
-    if (!reach_test(src, n) || dist[n] == kUnreachable) continue;
-    for (std::uint32_t e = adj_off_[n]; e < adj_off_[n + 1]; ++e) {
-      const WeightedEdge& we = adj_dat_[e];
-      const bool force =
-          std::binary_search(forced.begin(), forced.end(), edge_key(n, we.to));
-      const Time d = dist[n] + (force ? we.w.max : we.w.min);
-      if (d > dist[we.to]) dist[we.to] = d;
+  dist.assign(ports_.size(), kUnreachable);
+  dist[u] = 0;
+  for (std::size_t k = topo_pos_[u]; k < topo_.size(); ++k) {
+    const BarrierId n = topo_[k];
+    if (!reach_test(u, n) || dist[n] == kUnreachable) continue;
+    for (const Port& p : ports_[n]) {
+      if (p.succ == kInvalidBarrier) continue;
+      const bool force = std::binary_search(forced.begin(), forced.end(),
+                                            edge_key(n, p.succ));
+      const Time d = dist[n] + (force ? p.out.max : p.out.min) + latency_;
+      if (d > dist[p.succ]) dist[p.succ] = d;
     }
   }
-  return dist[index_of(w)];
+  return dist[w];
 }
 
 std::vector<BarrierId> BarrierDag::linear_extension() const {
@@ -340,56 +523,85 @@ void BarrierDag::linear_extension_into(std::vector<BarrierId>& out) const {
     return;
   }
   ScratchVec<std::uint32_t> indegree_s;
-  ScratchVec<NodeId> ready_s;
+  ScratchVec<BarrierId> ready_s;
   auto& indegree = *indegree_s;
   auto& ready = *ready_s;
-  indegree.assign(indeg_.begin(), indeg_.end());
+  indegree.assign(ports_.size(), 0);
+  for (const BarrierId n : topo_)
+    for (const Port& p : ports_[n])
+      if (p.succ != kInvalidBarrier) ++indegree[p.succ];
 
-  auto better = [&](NodeId a, NodeId b) {  // true if a should fire before b
-    const auto ka = std::pair<Time, BarrierId>{fire_[a].min, ids_[a]};
-    const auto kb = std::pair<Time, BarrierId>{fire_[b].min, ids_[b]};
-    return ka < kb;
+  auto better = [&](BarrierId a, BarrierId b) {  // a should fire before b
+    return std::pair{fire_[a].min, a} < std::pair{fire_[b].min, b};
   };
   ready.clear();
-  for (NodeId n = 0; n < size(); ++n)
+  for (const BarrierId n : topo_)
     if (indegree[n] == 0) ready.push_back(n);
 
   out.clear();
-  out.reserve(size());
+  out.reserve(live_);
   while (!ready.empty()) {
     const auto it = std::min_element(ready.begin(), ready.end(), better);
-    const NodeId n = *it;
+    const BarrierId n = *it;
     ready.erase(it);
-    out.push_back(ids_[n]);
-    for (std::uint32_t e = adj_off_[n]; e < adj_off_[n + 1]; ++e)
-      if (--indegree[adj_dat_[e].to] == 0) ready.push_back(adj_dat_[e].to);
+    out.push_back(n);
+    for (const Port& p : ports_[n])
+      if (p.succ != kInvalidBarrier && --indegree[p.succ] == 0)
+        ready.push_back(p.succ);
   }
-  BM_ASSERT_INTERNAL(out.size() == size(), "linear extension incomplete");
+  BM_ASSERT_INTERNAL(out.size() == live_, "linear extension incomplete");
   linext_ = out;
+}
+
+const BarrierDag::PathView& BarrierDag::path_view() const {
+  if (!paths_) {
+    auto view = std::make_unique<PathView>();
+    auto& w = view->max_w;
+    for (const BarrierId u : topo_)
+      for (const Port& p : ports_[u])
+        if (p.succ != kInvalidBarrier)
+          w.emplace_back(edge_key(u, p.succ), p.out.max + latency_);
+    std::sort(w.begin(), w.end());
+    // Parallel chain traversals of one edge aggregate to their max (Fig. 13);
+    // after the sort the largest weight of each key comes last.
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      if (out > 0 && w[out - 1].first == w[i].first)
+        w[out - 1].second = w[i].second;
+      else
+        w[out++] = w[i];
+    }
+    w.resize(out);
+    view->g = Digraph(ports_.size());
+    for (const auto& [key, weight] : w)
+      view->g.add_edge(static_cast<NodeId>(key >> 32),
+                       static_cast<NodeId>(key));
+    paths_ = std::move(view);
+  }
+  return *paths_;
 }
 
 BarrierDag::MaxPathRange::MaxPathRange(const BarrierDag& dag, NodeId from,
                                        NodeId to)
-    : dag_(dag),
-      inner_(dag.lazy_digraph(), from, to, [&dag](NodeId a, NodeId b) {
-        const TimeRange* r = dag.find_edge(a, b);
-        BM_ASSERT_INTERNAL(r != nullptr, "missing edge in path enumeration");
-        return r->max + dag.latency_;
-      }) {}
+    : inner_(dag.path_view().g, from, to,
+             [&w = dag.path_view().max_w](NodeId a, NodeId b) {
+               const auto it = std::lower_bound(
+                   w.begin(), w.end(), std::pair{edge_key(a, b), kUnreachable});
+               BM_ASSERT_INTERNAL(it != w.end() && it->first == edge_key(a, b),
+                                  "missing edge in path enumeration");
+               return it->second;
+             }) {}
 
 bool BarrierDag::MaxPathRange::next(std::vector<BarrierId>& path,
                                     Time& length) {
-  Path internal;
-  if (!inner_.next(internal, length)) return false;
-  path.clear();
-  path.reserve(internal.size());
-  for (NodeId n : internal) path.push_back(dag_.ids_[n]);
-  return true;
+  return inner_.next(path, length);
 }
 
 BarrierDag::MaxPathRange BarrierDag::max_paths(BarrierId u,
                                                BarrierId v) const {
-  return MaxPathRange(*this, index_of(u), index_of(v));
+  require_known(u);
+  require_known(v);
+  return MaxPathRange(*this, u, v);
 }
 
 }  // namespace bm

@@ -8,21 +8,27 @@
 //  - reachability (PathFind, §4.4.1 step 1),
 //  - the dominator tree / nearest common dominating barrier (step 2),
 //  - longest-path queries ψ_max, ψ_min, the overlap-adjusted ψ*_min, and
-//    ordered enumeration of k-longest max-paths (§4.4.2).
+//    ordered enumeration of k-longest max-paths (§4.4.2),
+//  - the §4.4.3 merge candidates: unordered pairs with overlapping fire
+//    ranges.
+//
+// Besides the full build from chains, the dag is kept current under the two
+// mutations the list scheduler performs — splicing a new barrier into some
+// chains (add_barrier) and unifying two unordered barriers (merge). Both
+// recompute fire ranges, dominators and the topological order only over the
+// changed barrier's descendants, extend reachability only over its
+// ancestors, and drop only the ψ rows whose source reaches the change.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/digraph.hpp"
-#include "graph/dominators.hpp"
 #include "graph/paths.hpp"
 #include "ir/timing.hpp"
-#include "support/bitset.hpp"
 
 namespace bm {
 
@@ -49,30 +55,45 @@ class BarrierDag {
              std::span<const BarrierChainInput> chains,
              Time barrier_latency = 0);
 
-  /// Rebuilds this dag in place for a mutated schedule, reusing every
-  /// internal buffer's capacity (the scheduler rebuilds after each of its
-  /// hundreds of thousands of mutations; a fresh construction would pay a
-  /// dozen allocations each time). Observationally identical to destroying
-  /// and re-constructing: the previous generation's ψ tallies are folded
-  /// into the metric registry exactly as the destructor would have.
-  void rebuild(std::size_t num_barrier_ids, BarrierId initial,
-               std::span<const BarrierChainInput> chains,
-               Time barrier_latency = 0);
-
   /// The destructor folds the ψ-cache hit/miss tallies into the global
   /// metric registry (`barrier.psi_cache_{hits,misses}`). Moves stay
-  /// defaulted: PsiTally transfers its counts and zeroes the source, so a
-  /// moved-from dag folds nothing and the tallies are counted exactly once.
+  /// defaulted: PsiTally transfers its counts and zeroes the source, so the
+  /// tallies are counted exactly once.
   ~BarrierDag();
   BarrierDag(BarrierDag&&) = default;
   BarrierDag& operator=(BarrierDag&&) = default;
 
+  // --- incremental updates ---------------------------------------------------
+  /// Where add_barrier() splices the new barrier into one chain: between
+  /// `pred` and `succ` (kInvalidBarrier: the new barrier ends the chain),
+  /// after `before` of code since pred and `after` of code up to succ.
+  struct Splice {
+    std::uint32_t chain = 0;
+    BarrierId pred = kInvalidBarrier;
+    BarrierId succ = kInvalidBarrier;
+    TimeRange before{0, 0};
+    TimeRange after{0, 0};
+  };
+  /// Adds barrier `id` (unknown so far; the id space grows to cover it) to
+  /// the given chains, one splice per distinct chain, each between two
+  /// barriers consecutive on that chain. Returns false and changes nothing
+  /// if the splices would close a cycle (a full build would throw).
+  bool add_barrier(BarrierId id, std::span<const Splice> at);
+  /// Unifies two unordered barriers on disjoint chains: `victim`'s chain
+  /// positions pass to `keep`, and `victim` becomes unknown.
+  void merge(BarrierId keep, BarrierId victim);
+
   Time barrier_latency() const { return latency_; }
 
   BarrierId initial() const { return initial_; }
-  bool known(BarrierId b) const;
-  std::size_t barrier_count() const { return ids_.size(); }
-  const std::vector<BarrierId>& barrier_ids() const { return ids_; }
+  bool known(BarrierId b) const {
+    return b < ports_.size() && !ports_[b].empty();
+  }
+  std::size_t barrier_count() const { return live_; }
+  /// Known barriers in first-appearance order over the chains (chain by
+  /// chain, in chain order) — the order a fresh build from the current
+  /// chains interns them in, whatever updates led here.
+  const std::vector<BarrierId>& barrier_ids() const;
 
   /// Aggregated code range on edge u→v; edge must exist.
   TimeRange edge_range(BarrierId u, BarrierId v) const;
@@ -98,12 +119,10 @@ class BarrierDag {
   ///
   /// ψ queries are memoized per source: the first query from `u` runs one
   /// O(V+E) sweep and every later query from `u` is an O(1) array lookup.
-  /// The scheduler issues thousands of ψ queries from a handful of sources
-  /// (the common dominators of the pairs under test) between mutations, and
-  /// Schedule rebuilds this object on every barrier insertion/merge, so the
-  /// memo is invalidated exactly when the answers could change. The caches
-  /// are not synchronized: a BarrierDag must be confined to one thread
-  /// (each parallel-harness worker owns its Schedule outright).
+  /// An update drops only the rows whose source reaches the changed
+  /// barrier. Queries from the initial barrier read the fire ranges. The caches are not synchronized: a BarrierDag must be
+  /// confined to one thread (each parallel-harness worker owns its Schedule
+  /// outright).
   Time psi_max(BarrierId u, BarrierId v) const;
   /// Longest u→v path length under min edge times (same memoization).
   Time psi_min(BarrierId u, BarrierId v) const;
@@ -120,13 +139,35 @@ class BarrierDag {
   /// linear extension can delay but never deadlock the mask FIFO.
   std::vector<BarrierId> linear_extension() const;
   /// Same, filling a caller-owned buffer (the SBM simulator's pooled queue).
-  /// The extension is a pure function of this immutable dag, so it is
-  /// computed once and memoized: completion summaries replay the same
+  /// Memoized until the next update: completion summaries replay the same
   /// queue order for every draw (and every batch lane).
   void linear_extension_into(std::vector<BarrierId>& out) const;
 
+  /// §4.4.3 merge candidates: calls accept(a, b) for each unordered pair
+  /// a < b with overlapping fire ranges, in lexicographic order, until it
+  /// returns true, and returns that pair ({kInvalidBarrier,
+  /// kInvalidBarrier} if none is accepted). The candidate set is kept
+  /// across updates; only pairs touching a barrier whose fire range or
+  /// order changed are re-examined.
+  template <typename Accept>
+  std::pair<BarrierId, BarrierId> first_overlap_pair(Accept&& accept) const {
+    refresh_overlaps();
+    for (BarrierId a = 0; a < ports_.size(); ++a) {
+      const std::uint64_t* row = overlap_.data() + a * words_;
+      for (std::size_t w = (a + 1) >> 6; w < words_; ++w) {
+        std::uint64_t word = row[w];
+        if (w == (a + 1) >> 6) word &= ~std::uint64_t{0} << ((a + 1) & 63);
+        for (; word != 0; word &= word - 1) {
+          const auto b = static_cast<BarrierId>(w * 64 + __builtin_ctzll(word));
+          if (accept(a, b)) return {a, b};
+        }
+      }
+    }
+    return {kInvalidBarrier, kInvalidBarrier};
+  }
+
   /// Enumerates u→v paths in non-increasing max-time length. Wraps
-  /// PathEnumerator, translating to public barrier ids.
+  /// PathEnumerator over a lazily built Digraph of the unique edges.
   class MaxPathRange {
    public:
     bool next(std::vector<BarrierId>& path, Time& length);
@@ -134,7 +175,6 @@ class BarrierDag {
    private:
     friend class BarrierDag;
     MaxPathRange(const BarrierDag& dag, NodeId from, NodeId to);
-    const BarrierDag& dag_;
     PathEnumerator inner_;
   };
   MaxPathRange max_paths(BarrierId u, BarrierId v) const;
@@ -146,105 +186,103 @@ class BarrierDag {
   std::uint64_t psi_cache_misses() const { return tally_.misses; }
 
  private:
-  /// Shared constructor/rebuild body; assumes tallies are already settled.
-  void init(std::size_t num_barrier_ids, BarrierId initial,
-            std::span<const BarrierChainInput> chains, Time barrier_latency);
-  /// Folds the current tallies into the metric registry (one dag build plus
-  /// the ψ hit/miss counts) — the destructor's accounting, also run by
-  /// rebuild() on the generation it replaces.
-  void fold_tally() const;
-
-  NodeId index_of(BarrierId b) const;  // throws if unknown
-  static std::uint64_t edge_key(NodeId a, NodeId b) {
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  }
-  /// Binary search in the sorted flat edge table; nullptr if absent.
-  const TimeRange* find_edge(NodeId a, NodeId b) const;
-
-  /// Memoized longest-path frontier from `src` (min or max edge weights):
-  /// one topological sweep on first use filling the flat ψ cache row, then
-  /// O(1) lookups. Sweeps walk the precomputed `topo_` order and the CSR
-  /// adjacency, touching only nodes the closure marks reachable from `src`.
-  const Time* psi_row(NodeId src, bool use_max) const;
-
-  bool reach_test(NodeId u, NodeId v) const {
-    return (reach_[u * reach_stride_ + (v >> 6)] >> (v & 63)) & 1u;
-  }
-
-  std::size_t size() const { return ids_.size(); }
-  /// Node-keyed Digraph view, built on demand: only the dominator tree and
-  /// path enumeration need it. Everything else (ψ sweeps, closure, Kahn)
-  /// runs on the flat CSR, so the rebuilt-per-mutation constructor never
-  /// pays for per-node adjacency vectors.
-  const Digraph& lazy_digraph() const;
-
-  BarrierId initial_;
-  Time latency_ = 0;
-  std::vector<BarrierId> ids_;        ///< dense index -> barrier id
-  std::vector<NodeId> index_;         ///< barrier id -> dense index
-  mutable std::unique_ptr<Digraph> lazy_g_;
-  /// Aggregated edge ranges keyed by (from,to), sorted — a flat stand-in
-  /// for the former std::map (one allocation, binary-search lookups).
-  std::vector<std::pair<std::uint64_t, TimeRange>> edges_;
-  std::vector<std::uint32_t> indeg_;  ///< per node, from the unique edges
-  std::vector<TimeRange> fire_;
-  /// Reflexive-transitive closure as contiguous bit rows of `reach_stride_`
-  /// words each: bit v of row u set iff a path u→v exists.
-  std::size_t reach_stride_ = 0;
-  std::vector<std::uint64_t> reach_;
-  /// Lazily built on the first common_dominator query (many rebuilds never
-  /// issue one before the next mutation discards the dag), directly from
-  /// the flat edge table — no Digraph. The tree object itself survives
-  /// rebuilds so its buffers keep their capacity; `dom_valid_` gates it.
-  mutable std::optional<DominatorTree> dom_;
-  mutable bool dom_valid_ = false;
-
-  /// Weighted adjacency (succ, latency-charged edge range), CSR layout —
-  /// the edge-table lookup hoisted out of every sweep.
-  struct WeightedEdge {
-    NodeId to;
-    TimeRange w;  ///< edge range + latency on both bounds
+  /// Barrier b's position on one chain: its neighbours there and the code
+  /// between them.
+  struct Port {
+    std::uint32_t chain;
+    BarrierId pred;  ///< kInvalidBarrier on the initial barrier
+    BarrierId succ;  ///< kInvalidBarrier: b ends the chain
+    TimeRange in;    ///< code pred → b
+    TimeRange out;   ///< code b → succ
   };
-  std::vector<std::uint32_t> adj_off_;  ///< size() + 1 offsets
-  std::vector<WeightedEdge> adj_dat_;
-  std::vector<NodeId> topo_;  ///< topological order, computed once
+  static constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
 
-  /// Flat B×B ψ memo (row per source) with per-row filled flags. The
-  /// buffers are deliberately left uninitialized (psi_row overwrites a row
-  /// before reading it), so a rebuild never pays two O(B²) zero-fills; the
-  /// power-of-two capacity survives rebuilds, so the insertion loop's
-  /// one-barrier-at-a-time growth reallocates only logarithmically often.
-  mutable std::unique_ptr<Time[]> psi_min_cache_, psi_max_cache_;
-  mutable std::size_t psi_cap_ = 0;  ///< elements per cache buffer
-  mutable std::vector<std::uint8_t> psi_min_filled_, psi_max_filled_;
+  void require_known(BarrierId b) const;
+  /// b's port on `chain`, or nullptr; port_on() asserts it exists.
+  const Port* find_port(BarrierId b, std::uint32_t chain) const;
+  Port* port_on(BarrierId b, std::uint32_t chain);
+  /// Grows the id space to `bound`; past the row capacity, reachability and
+  /// overlap rows are re-laid out and the ψ memo is dropped.
+  void grow(std::size_t bound);
+  /// Moves `b`'s descendants after `b` in topo_, then recomputes fire
+  /// ranges and dominators over b and its descendants, in that order.
+  void settle_descendants(BarrierId b);
+  /// Fire range and immediate dominator of b from its predecessors.
+  void settle(BarrierId b);
+  BarrierId nearest_common_dominator(BarrierId a, BarrierId b) const;
+  void drop_psi_row(BarrierId src);
+  /// Drops the ψ rows of every barrier that reaches `b`.
+  void drop_psi_rows_reaching(BarrierId b);
+  /// Marks b and its descendants for overlap re-examination; clears the
+  /// per-update memos.
+  void mark_dirty(BarrierId b);
 
-  /// ψ-cache hit/miss tallies plus a liveness marker for dtor folding.
-  /// Moving transfers the counts and disarms the source, so defaulted
-  /// BarrierDag moves never double-fold (and a moved-from dag does not
-  /// count as a dag build).
+  bool reach_test(BarrierId u, BarrierId v) const {
+    return (reach_[u * words_ + (v >> 6)] >> (v & 63)) & 1u;
+  }
+  std::uint64_t* reach_row(BarrierId u) { return reach_.data() + u * words_; }
+
+  /// Memoized longest-path row from `src` (min or max edge weights): one
+  /// topological sweep on first use, then O(1) lookups.
+  const Time* psi_row(BarrierId src, bool use_max) const;
+  void refresh_overlaps() const;
+
+  BarrierId initial_ = 0;
+  Time latency_ = 0;
+  /// Id-indexed state. `ports_[b]` is sorted by chain and empty for unknown
+  /// ids; the rest is meaningful for known ids only.
+  std::vector<std::vector<Port>> ports_;
+  std::size_t live_ = 0;
+  std::vector<TimeRange> fire_;
+  std::vector<BarrierId> idom_;
+  std::vector<std::uint32_t> dom_depth_;
+  std::vector<BarrierId> topo_;  ///< known ids in a topological order
+  std::vector<std::uint32_t> topo_pos_;  ///< index in topo_, by id
+
+  /// Row capacity (a power of two >= the id bound) and the words per bit
+  /// row. reach_ holds the reflexive-transitive closure, bit v of row u set
+  /// iff a path u→v exists; overlap_ the symmetric merge-candidate matrix.
+  std::size_t cap_ = 0, words_ = 0;
+  std::vector<std::uint64_t> reach_;
+  mutable std::vector<std::uint64_t> overlap_;
+  /// Barriers whose overlap rows are stale (set by updates, cleared by
+  /// refresh_overlaps on the next candidate query).
+  mutable std::vector<std::uint64_t> overlap_dirty_;
+
+  /// ψ memo: rows of cap_ entries in a pool, one slot per (source, min/max);
+  /// dropped rows go to a free list.
+  mutable std::vector<Time> psi_pool_;
+  mutable std::vector<std::uint32_t> psi_slot_[2];
+  mutable std::vector<std::uint32_t> psi_free_;
+
+  /// ψ-cache hit/miss tallies. Moving transfers the counts and zeroes the
+  /// source, so defaulted BarrierDag moves never double-fold.
   struct PsiTally {
     std::uint64_t hits = 0, misses = 0;
-    bool live = true;
     PsiTally() = default;
-    PsiTally(PsiTally&& o) noexcept
-        : hits(o.hits), misses(o.misses), live(o.live) {
+    PsiTally(PsiTally&& o) noexcept : hits(o.hits), misses(o.misses) {
       o.hits = o.misses = 0;
-      o.live = false;
     }
     PsiTally& operator=(PsiTally&& o) noexcept {
       hits = o.hits;
       misses = o.misses;
-      live = o.live;
       o.hits = o.misses = 0;
-      o.live = false;
       return *this;
     }
   };
   mutable PsiTally tally_;
 
-  /// Memoized SBM queue order (non-empty once computed: every dag has at
-  /// least the initial barrier). Single-thread confined like the ψ caches.
-  mutable std::vector<BarrierId> linext_;
+  /// Lazily derived views, dropped by every update.
+  mutable std::vector<BarrierId> ids_;     ///< empty = not derived
+  mutable std::vector<BarrierId> linext_;  ///< empty = not derived
+  /// Unique-edge Digraph and its sorted (key, max weight) table for
+  /// max_paths; null = not derived.
+  struct PathView {
+    Digraph g;
+    std::vector<std::pair<std::uint64_t, Time>> max_w;
+  };
+  mutable std::unique_ptr<PathView> paths_;
+  const PathView& path_view() const;
 };
 
 }  // namespace bm

@@ -10,6 +10,30 @@
 
 namespace bm {
 
+namespace {
+
+/// Counters that measure how much work the implementation did rather than a
+/// property of the schedules it produced: dag builds and ψ-memo traffic
+/// fall whenever the analysis gets more incremental, and
+/// `sched.merges_skipped` counts one rejection per merge sweep. They stay
+/// visible in --profile, --trace and `stats v1`, but not in manifests.
+constexpr const char* kEffortCounters[] = {
+    "barrier.dag_builds",
+    "barrier.psi_cache_hits",
+    "barrier.psi_cache_misses",
+    "sched.merges_skipped",
+};
+
+bool manifest_excluded(const std::string& key) {
+  if (key.rfind("mem.", 0) == 0) return true;
+  if (key.rfind("serve-metrics.", 0) == 0) return true;
+  for (const char* effort : kEffortCounters)
+    if (key == effort) return true;
+  return false;
+}
+
+}  // namespace
+
 std::string Sweep::label(std::size_t i) const {
   BM_REQUIRE(i < values.size(), "sweep index out of range");
   const double v = values[i];
@@ -127,7 +151,8 @@ void run_experiment(const Experiment& exp, const CliFlags& flags,
   // "mem."-prefixed counters (scratch-pool misses/grows) are excluded: pools
   // are thread-local, so their totals depend on the worker count. The
   // "serve-metrics." gauge namespace (bmserve wall-clock telemetry,
-  // serve/telemetry.hpp) is excluded for the same reason.
+  // serve/telemetry.hpp) is excluded for the same reason, and so are the
+  // effort counters (kEffortCounters), which count work, not results.
   const obs::Snapshot before = obs::snapshot();
   {
     BM_OBS_SPAN(exp_span, "exp:" + exp.name, "exp");
@@ -135,8 +160,7 @@ void run_experiment(const Experiment& exp, const CliFlags& flags,
   }
   const obs::Snapshot used = obs::delta(before, obs::snapshot());
   for (const obs::Snapshot::Entry& e : used.entries) {
-    if (e.key.rfind("mem.", 0) == 0) continue;
-    if (e.key.rfind("serve-metrics.", 0) == 0) continue;
+    if (manifest_excluded(e.key)) continue;
     artifacts.metric("obs." + e.key, e.value);
   }
   if (!exp.expected.empty()) os << '\n' << exp.expected << '\n';

@@ -7,50 +7,14 @@
 namespace bm {
 
 DominatorTree::DominatorTree(const Digraph& g, NodeId root) {
-  // Flatten the per-node adjacency into CSR scratch and run the shared
-  // builder — one code path for both entry points.
   const std::size_t n = g.size();
-  ScratchVec<std::uint32_t> soff_s, poff_s;
-  ScratchVec<NodeId> sdat_s, pdat_s;
-  auto& soff = *soff_s;
-  auto& poff = *poff_s;
-  auto& sdat = *sdat_s;
-  auto& pdat = *pdat_s;
-  soff.assign(n + 1, 0);
-  poff.assign(n + 1, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    soff[v + 1] = soff[v] + static_cast<std::uint32_t>(g.succs(v).size());
-    poff[v + 1] = poff[v] + static_cast<std::uint32_t>(g.preds(v).size());
-  }
-  sdat.clear();
-  pdat.clear();
-  sdat.reserve(soff[n]);
-  pdat.reserve(poff[n]);
-  for (NodeId v = 0; v < n; ++v) {
-    sdat.insert(sdat.end(), g.succs(v).begin(), g.succs(v).end());
-    pdat.insert(pdat.end(), g.preds(v).begin(), g.preds(v).end());
-  }
-  init(CsrAdjacency{{soff.data(), n + 1},
-                    {sdat.data(), sdat.size()},
-                    {poff.data(), n + 1},
-                    {pdat.data(), pdat.size()}},
-       root);
-}
-
-void DominatorTree::rebuild(const CsrAdjacency& g, NodeId root) {
-  init(g, root);
-}
-
-void DominatorTree::init(const CsrAdjacency& g, NodeId root) {
-  const std::size_t n = g.succ_off.size() - 1;
   BM_REQUIRE(root < n, "root out of range");
   root_ = root;
   idom_.assign(n, kInvalidNode);
   depth_.assign(n, 0);
 
-  // Reverse postorder of nodes reachable from root (iterative DFS). All
-  // traversal state lives in pooled scratch: this runs once per barrier-dag
-  // generation that receives a dominator query.
+  // Reverse postorder of nodes reachable from root (iterative DFS), with
+  // all traversal state in pooled scratch.
   ScratchVec<NodeId> rpo_s;
   ScratchVec<std::uint8_t> state_s;  // 0=unseen 1=open 2=done
   ScratchVec<std::pair<NodeId, std::uint32_t>> stack_s;
@@ -66,8 +30,8 @@ void DominatorTree::init(const CsrAdjacency& g, NodeId root) {
   state[root] = 1;
   while (!stack.empty()) {
     auto& [v, next_child] = stack.back();
-    if (g.succ_off[v] + next_child < g.succ_off[v + 1]) {
-      const NodeId s = g.succ_dat[g.succ_off[v] + next_child++];
+    if (next_child < g.succs(v).size()) {
+      const NodeId s = g.succs(v)[next_child++];
       if (state[s] == 0) {
         state[s] = 1;
         stack.emplace_back(s, 0);
@@ -98,8 +62,7 @@ void DominatorTree::init(const CsrAdjacency& g, NodeId root) {
     for (NodeId v : rpo) {
       if (v == root) continue;
       NodeId new_idom = kInvalidNode;
-      for (std::uint32_t e = g.pred_off[v]; e < g.pred_off[v + 1]; ++e) {
-        const NodeId p = g.pred_dat[e];
+      for (const NodeId p : g.preds(v)) {
         if (idom_[p] == kInvalidNode) continue;  // pred not processed yet
         new_idom = (new_idom == kInvalidNode) ? p : intersect(p, new_idom);
       }

@@ -4,35 +4,16 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
 
 namespace bm {
 
-/// Flat CSR adjacency view of a rooted graph: `succ_off`/`pred_off` hold
-/// `n + 1` offsets into the data arrays. Lets rebuild-hot callers (the
-/// barrier dag, reconstructed per scheduler mutation) feed the dominator
-/// computation without materializing a per-node-vector Digraph.
-struct CsrAdjacency {
-  std::span<const std::uint32_t> succ_off;
-  std::span<const NodeId> succ_dat;
-  std::span<const std::uint32_t> pred_off;
-  std::span<const NodeId> pred_dat;
-};
-
 class DominatorTree {
  public:
-  /// Empty tree; call rebuild() before any query.
-  DominatorTree() = default;
-
   /// Builds the dominator tree of all nodes reachable from `root`.
   DominatorTree(const Digraph& g, NodeId root);
-
-  /// Rebuilds in place from a flat adjacency view, reusing the idom/depth
-  /// buffer capacities. The spans need only stay valid for this call.
-  void rebuild(const CsrAdjacency& g, NodeId root);
 
   NodeId root() const { return root_; }
 
@@ -54,8 +35,6 @@ class DominatorTree {
   std::size_t depth(NodeId n) const;
 
  private:
-  void init(const CsrAdjacency& g, NodeId root);
-
   NodeId root_ = kInvalidNode;
   std::vector<NodeId> idom_;
   std::vector<std::size_t> depth_;

@@ -170,30 +170,31 @@ TimeRange Schedule::delta_before(ProcId p, std::uint32_t pos) const {
 }
 
 const BarrierDag& Schedule::build_analysis() const {
-  chains_scratch_.resize(streams_.size());
-  for (ProcId p = 0; p < streams_.size(); ++p) {
+  // Chains straight from the stream index: hop from barrier to barrier via
+  // next_bar/bar_pos_, each segment a difference of prefix sums.
+  const std::size_t procs = streams_.size();
+  chains_scratch_.resize(procs);
+  for (ProcId p = 0; p < procs; ++p) {
+    const StreamIndex& ix = sidx(p);
     BarrierChainInput& chain = chains_scratch_[p];
-    chain.barriers.clear();
+    chain.barriers.assign(1, kInitialBarrier);
     chain.segments.clear();
-    chain.barriers.push_back(kInitialBarrier);
-    TimeRange seg{0, 0};
-    for (const ScheduleEntry& e : streams_[p]) {
-      if (e.is_barrier) {
-        chain.segments.push_back(seg);
-        chain.barriers.push_back(e.id);
-        seg = TimeRange{0, 0};
-      } else {
-        seg += instr_time(e.id);
-      }
+    const auto& s = streams_[p];
+    BarrierId b = s.empty()             ? kInvalidBarrier
+                  : s.front().is_barrier ? s.front().id
+                                         : ix.next_bar[0];
+    TimeRange at_prev{0, 0};
+    while (b != kInvalidBarrier) {
+      const std::uint32_t pos = bar_pos_[b * procs + p] - 1;
+      chain.segments.push_back(prefix_diff(ix.cum[pos], at_prev));
+      chain.barriers.push_back(b);
+      at_prev = ix.cum[pos];
+      b = ix.next_bar[pos];
     }
     // Tail code after the last barrier is not part of the dag.
   }
-  if (analysis_)
-    analysis_->rebuild(masks_.size(), kInitialBarrier, chains_scratch_,
-                       barrier_latency_);
-  else
-    analysis_.emplace(masks_.size(), kInitialBarrier, chains_scratch_,
-                      barrier_latency_);
+  analysis_.emplace(masks_.size(), kInitialBarrier, chains_scratch_,
+                    barrier_latency_);
   analysis_valid_ = true;
   return *analysis_;
 }
@@ -232,11 +233,11 @@ BarrierId Schedule::insert_barrier(std::span<const Loc> at) {
   masks_.push_back(std::move(mask));
   alive_.push_back(true);
   bar_pos_.resize(masks_.size() * num_procs(), 0);
-  // The dag analysis must rebuild, but the stream index can be patched in
-  // place: only the participating processors change, and within each only
-  // the tail shifts and the split segment's base/last-bar entries move to
-  // the new barrier. A full rebuild_stream_index() would rescan every
-  // stream of every processor on each of the scheduler's ~10^5 insertions.
+  // The stream index is patched in place: only the participating
+  // processors change, and within each only the tail shifts and the split
+  // segment's base/last-bar entries move to the new barrier. A full
+  // rebuild_stream_index() would rescan every stream of every processor on
+  // each of the scheduler's ~10^5 insertions.
   const bool patch_sidx = sidx_valid_;
   for (const Loc& l : at) {
     auto& s = streams_[l.proc];
@@ -249,8 +250,31 @@ BarrierId Schedule::insert_barrier(std::span<const Loc> at) {
         bar_pos_[s[i].id * num_procs() + l.proc] = i + 1;
     if (patch_sidx) patch_stream_index(l.proc, l.pos, id);
   }
-  analysis_valid_ = false;
+  if (analysis_valid_) splice_into_analysis(id, at);
   return id;
+}
+
+void Schedule::splice_into_analysis(BarrierId id, std::span<const Loc> at) {
+  // The new barrier sits between LastBar and NextBar of its position on
+  // each processor, and splits the code between them at its prefix sum.
+  ScratchVec<BarrierDag::Splice> splices_s;
+  auto& splices = *splices_s;
+  splices.clear();
+  const std::size_t procs = streams_.size();
+  for (const Loc& l : at) {
+    const StreamIndex& ix = sidx(l.proc);
+    BarrierDag::Splice& sp = splices.emplace_back();
+    sp.chain = l.proc;
+    sp.pred = ix.last_bar[l.pos];
+    sp.succ = ix.next_bar[l.pos];
+    sp.before = prefix_diff(ix.cum[l.pos], ix.base[l.pos]);
+    if (sp.succ != kInvalidBarrier)
+      sp.after = prefix_diff(ix.cum[bar_pos_[sp.succ * procs + l.proc] - 1],
+                             ix.cum[l.pos]);
+  }
+  // A splice that would close a cycle leaves the dag to the next full
+  // build, which reports it exactly as before.
+  if (!analysis_->add_barrier(id, splices)) analysis_valid_ = false;
 }
 
 void Schedule::patch_stream_index(ProcId p, std::uint32_t pos,
@@ -485,29 +509,23 @@ bool Schedule::order_feasible_ref(std::span<const Loc> virtual_barrier,
 }
 
 std::size_t Schedule::merge_overlapping_all() {
+  sweep_skipped_.clear();
   std::size_t merges = 0;
-  // Pairs already counted as skipped by THIS sweep; the per-call analogue
-  // of the persistent memo below, preserving the historical one-count-per-
-  // sweep accounting of merges_skipped().
-  ScratchVec<std::pair<BarrierId, BarrierId>> counted_s;
-  auto& counted = *counted_s;
-  counted.clear();
+  while (merge_next()) ++merges;
+  return merges;
+}
+
+std::optional<std::pair<BarrierId, BarrierId>> Schedule::merge_next() {
   auto in = [](const std::vector<std::pair<BarrierId, BarrierId>>& v,
                BarrierId a, BarrierId b) {
     return std::find(v.begin(), v.end(), std::pair{a, b}) != v.end();
   };
-  for (;;) {
-    const BarrierDag& bd = barrier_dag();
-    BarrierId keep = kInvalidBarrier, victim = kInvalidBarrier;
-    for (BarrierId a = 1; a < masks_.size() && keep == kInvalidBarrier; ++a) {
-      if (!alive_[a]) continue;
-      if (final_barrier_ && a == *final_barrier_) continue;
-      for (BarrierId b = a + 1; b < masks_.size(); ++b) {
-        if (!alive_[b]) continue;
-        if (final_barrier_ && b == *final_barrier_) continue;
-        if (!bd.fire_range(a).overlaps(bd.fire_range(b)) || bd.ordered(a, b))
-          continue;
-        if (in(counted, a, b)) continue;
+  const BarrierDag& bd = barrier_dag();
+  const auto [keep, victim] =
+      bd.first_overlap_pair([&](BarrierId a, BarrierId b) {
+        if (final_barrier_ && (a == *final_barrier_ || b == *final_barrier_))
+          return false;
+        if (in(sweep_skipped_, a, b)) return false;
         // Infeasibility is monotone across this schedule's lifetime: every
         // mutation the list scheduler performs (append, insertion, merge)
         // only ADDs constraints to the joint order graph, so a pair that
@@ -516,46 +534,46 @@ std::size_t Schedule::merge_overlapping_all() {
         // hit (remove_barrier, which deletes constraints, clears it).
         if (in(merge_infeasible_, a, b) || !order_feasible({}, a, b)) {
           if (!in(merge_infeasible_, a, b)) merge_infeasible_.emplace_back(a, b);
-          counted.emplace_back(a, b);
+          sweep_skipped_.emplace_back(a, b);
           ++merges_skipped_;
-          continue;
+          return false;
         }
-        keep = a;
-        victim = b;
-        break;
-      }
+        return true;
+      });
+  if (keep == kInvalidBarrier) return std::nullopt;
+  // Merge: relabel the victim's stream entries, union the masks.
+  BM_ASSERT_INTERNAL(!masks_[keep].intersects(masks_[victim]),
+                     "unordered barriers cannot share a processor");
+  masks_[keep] |= masks_[victim];
+  alive_[victim] = false;
+  masks_[victim].clear();
+  // A merge relabels barrier ids but moves no entry: positions, prefix
+  // sums and segment bases are untouched, so the stream index keeps its
+  // layout and only the victim's segment neighbours change their labels.
+  const std::size_t procs = num_procs();
+  for (ProcId p = 0; p < procs; ++p) {
+    std::uint32_t& vp = bar_pos_[victim * procs + p];
+    if (vp == 0) continue;
+    const std::uint32_t pos = vp - 1;
+    bar_pos_[keep * procs + p] = vp;  // masks are disjoint
+    vp = 0;
+    auto& s = streams_[p];
+    s[pos].id = keep;
+    if (!sidx_valid_) continue;
+    StreamIndex& ix = sidx_[p];
+    // last_bar is the victim from just after it through the next barrier
+    // entry; next_bar from the previous barrier entry up to just before it.
+    for (std::uint32_t k = pos + 1; k < ix.last_bar.size(); ++k) {
+      ix.last_bar[k] = keep;
+      if (k < s.size() && s[k].is_barrier) break;
     }
-    if (keep == kInvalidBarrier) return merges;
-    // Merge: relabel the victim's stream entries, union the masks.
-    BM_ASSERT_INTERNAL(!masks_[keep].intersects(masks_[victim]),
-                       "unordered barriers cannot share a processor");
-    masks_[keep] |= masks_[victim];
-    alive_[victim] = false;
-    masks_[victim].clear();
-    for (ProcId p = 0; p < num_procs(); ++p) {
-      std::uint32_t& vp = bar_pos_[victim * num_procs() + p];
-      if (vp != 0) {
-        bar_pos_[keep * num_procs() + p] = vp;  // masks are disjoint
-        vp = 0;
-      }
+    for (std::uint32_t k = pos; k-- > 0;) {
+      ix.next_bar[k] = keep;
+      if (s[k].is_barrier) break;
     }
-    for (auto& s : streams_)
-      for (auto& e : s)
-        if (e.is_barrier && e.id == victim) e.id = keep;
-    // A merge relabels barrier ids but moves no entry: positions, prefix
-    // sums, and segment bases are untouched, so the stream index survives
-    // with the same relabel; only the dag analysis must rebuild.
-    if (sidx_valid_) {
-      for (StreamIndex& ix : sidx_) {
-        for (BarrierId& lb : ix.last_bar)
-          if (lb == victim) lb = keep;
-        for (BarrierId& nb : ix.next_bar)
-          if (nb == victim) nb = keep;
-      }
-    }
-    analysis_valid_ = false;
-    ++merges;
   }
+  analysis_->merge(keep, victim);
+  return std::pair{keep, victim};
 }
 
 void Schedule::remove_barrier(BarrierId b) {

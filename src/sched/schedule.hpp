@@ -3,9 +3,9 @@
 // Each processor owns a stream of entries (instructions and barrier waits) in
 // execution order. Barriers are registered with participation masks; the
 // initial barrier (id 0) implicitly precedes every stream (§3.1). All timing
-// analysis — fire ranges, dominators, ψ-paths — is derived lazily through a
-// BarrierDag rebuilt only when the barrier structure changes (insertion,
-// merging); appending tail instructions keeps the cached dag valid.
+// analysis — fire ranges, dominators, ψ-paths — is derived through a
+// BarrierDag built in full on first use and then updated in place by every
+// insertion and merge; appending tail instructions leaves it untouched.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +13,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "barrier/barrier_dag.hpp"
@@ -82,8 +83,9 @@ class Schedule {
   TimeRange delta_before(ProcId p, std::uint32_t pos) const;
 
   // --- analysis -------------------------------------------------------------
-  /// Lazily (re)built barrier dag over the current streams. Queried millions
-  /// of times per run, so the cached-hit path is inline.
+  /// Barrier dag over the current streams: built in full on first use (and
+  /// after remove_barrier), kept current by insert_barrier and merges.
+  /// Queried millions of times per run, so the cached-hit path is inline.
   const BarrierDag& barrier_dag() const {
     if (analysis_valid_) return *analysis_;
     return build_analysis();
@@ -124,6 +126,12 @@ class Schedule {
   /// merges_skipped().
   std::size_t merge_overlapping_all();
 
+  /// One step of merge_overlapping_all(): merges the lexicographically first
+  /// alive, unordered, fire-overlapping pair (excluding the final rejoin)
+  /// whose merge passes the legality guard, and returns it as (keep,
+  /// victim); nullopt at the fixpoint.
+  std::optional<std::pair<BarrierId, BarrierId>> merge_next();
+
   /// Unordered-overlapping pairs left unmerged by the legality guard since
   /// construction (diagnostic; ≈0 in practice).
   std::size_t merges_skipped() const { return merges_skipped_; }
@@ -141,7 +149,7 @@ class Schedule {
 
   /// Reference implementation of order_feasible(): materializes the whole
   /// joint graph and runs Kahn's algorithm. order_feasible() delegates here
-  /// for the no-probe full check (deserialized schedules carry no
+  /// for the no-probe full check (schedules parsed from text carry no
   /// acyclicity invariant) and for probe shapes the reachability fast path
   /// does not cover; it is also the differential-testing oracle for that
   /// fast path (see schedule_feasibility_test).
@@ -174,6 +182,8 @@ class Schedule {
     sidx_valid_ = false;
   }
   const BarrierDag& build_analysis() const;
+  /// insert_barrier's incremental dag update for the new barrier `id`.
+  void splice_into_analysis(BarrierId id, std::span<const Loc> at);
   void reindex(ProcId p);
   /// Rescans every stream into bar_pos_ (only remove_barrier needs it; all
   /// other mutations patch the index in place).
@@ -187,9 +197,9 @@ class Schedule {
   /// stream-relative query (δ prefix sums, LastBar/NextBar, segment bases).
   /// Each array has one entry per position 0..size (cum/last_bar/base) or
   /// per entry 0..size-1 (next_bar), so the former O(segment) backwards
-  /// walks are O(1) lookups. Rebuilt lazily after barrier mutations;
-  /// append_instr extends it in place (appending never changes the barrier
-  /// structure, only the tail).
+  /// walks are O(1) lookups. insert_barrier patches it, merges relabel it
+  /// and append_instr extends it in place; only remove_barrier makes it
+  /// rebuild lazily.
   struct StreamIndex {
     std::vector<TimeRange> cum;       ///< cum[k]: instr time summed over [0,k)
     std::vector<TimeRange> base;      ///< cum value at k's segment start
@@ -225,16 +235,17 @@ class Schedule {
   /// the schedule's lifetime — except remove_barrier, which deletes
   /// constraints and clears the memo.
   std::vector<std::pair<BarrierId, BarrierId>> merge_infeasible_;
-  /// The dag object outlives invalidations: a stale dag is rebuilt in
-  /// place (BarrierDag::rebuild) so its buffer capacities carry across the
-  /// mutation loop's hundreds of rebuilds. `analysis_valid_` is the
-  /// staleness flag; the optional is empty only before the first query.
+  /// Pairs counted in merges_skipped_ by the current merge sweep (each
+  /// rejected pair counts once per sweep).
+  std::vector<std::pair<BarrierId, BarrierId>> sweep_skipped_;
+  /// `analysis_valid_` is the staleness flag: false before the first
+  /// query, after remove_barrier, and after an insertion that closed a
+  /// cycle (the next full build reports it).
   mutable std::optional<BarrierDag> analysis_;
   mutable bool analysis_valid_ = false;
   mutable std::vector<StreamIndex> sidx_;
   mutable bool sidx_valid_ = false;
-  /// Chain inputs for barrier_dag() rebuilds; member scratch so the ~10
-  /// rebuilds per schedule reuse one allocation's capacity.
+  /// Chain inputs for barrier_dag() full builds (member scratch).
   mutable std::vector<BarrierChainInput> chains_scratch_;
 };
 
