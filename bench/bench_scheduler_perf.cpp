@@ -1,8 +1,10 @@
 // google-benchmark microbenchmarks: throughput of the compiler-side
-// pipeline (synthesis, DAG construction, scheduling with each insertion
-// policy, VLIW baseline). Not a paper figure — engineering instrumentation.
+// pipeline (synthesis, the local optimizer alone, DAG construction,
+// scheduling with each insertion policy, VLIW baseline). Not a paper
+// figure — engineering instrumentation.
 #include <benchmark/benchmark.h>
 
+#include "codegen/emitter.hpp"
 #include "codegen/synthesize.hpp"
 #include "harness/experiment.hpp"
 #include "sched/scheduler.hpp"
@@ -28,6 +30,26 @@ void BM_Synthesize(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_Synthesize)->Arg(20)->Arg(60)->Arg(120);
+
+// The §2.2 optimizer by itself, on blocks emitted before timing starts. Each
+// iteration copies one block into a warm Program (no allocation) and
+// optimizes the copy.
+void BM_Optimize(benchmark::State& state) {
+  const GeneratorConfig gen = gen_for(state.range(0));
+  const StatementGenerator stmt_gen(gen);
+  Rng rng(42);
+  std::vector<Program> blocks;
+  for (int i = 0; i < 64; ++i)
+    blocks.push_back(emit_tuples(stmt_gen.generate(rng), gen.num_variables));
+  Program work = blocks.front();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    work = blocks[next++ % blocks.size()];
+    benchmark::DoNotOptimize(optimize(work));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_Optimize)->Arg(60)->Arg(120);
 
 void BM_BuildInstrDag(benchmark::State& state) {
   Rng rng(42);

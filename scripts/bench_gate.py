@@ -40,6 +40,7 @@ import sys
 # match the google-benchmark run_name (aggregate rows strip the suffix).
 GATED_BENCHMARKS = {
     "BENCH_sched.json": [
+        "BM_Synthesize/120",
         "BM_BuildInstrDag/120",
         "BM_ScheduleConservative/60",
         "BM_ScheduleConservative/120",

@@ -21,10 +21,6 @@ std::string_view opcode_name(Opcode op) {
   return "?";
 }
 
-bool is_binary_op(Opcode op) {
-  return op != Opcode::kLoad && op != Opcode::kStore;
-}
-
 double opcode_frequency_percent(Opcode op) {
   switch (op) {
     case Opcode::kAdd: return 45.8;

@@ -33,7 +33,9 @@ std::string_view opcode_name(Opcode op);
 
 /// True for Add/Sub/And/Or/Mul/Div/Mod — the operations the generator draws
 /// for assignment statements. Load/Store are synthesized on demand (§2.2).
-bool is_binary_op(Opcode op);
+inline bool is_binary_op(Opcode op) {
+  return op != Opcode::kLoad && op != Opcode::kStore;
+}
 
 /// Table 1 execution frequencies for the binary operations, in percent
 /// (Add 45.8, Sub 33.9, And 8.8, Or 5.2, Mul 2.9, Div 2.2, Mod 1.2).

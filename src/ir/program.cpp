@@ -37,6 +37,11 @@ void Program::replace_all(std::vector<Tuple> tuples) {
   tuples_ = std::move(tuples);
 }
 
+void Program::truncate(std::size_t n) {
+  BM_REQUIRE(n <= tuples_.size(), "truncate past the end");
+  tuples_.resize(n);
+}
+
 void Program::validate() const {
   for (std::size_t i = 0; i < tuples_.size(); ++i) {
     const Tuple& t = tuples_[i];

@@ -41,6 +41,10 @@ class Program {
   /// must re-establish the ordering invariant — validate() enforces it.
   void replace_all(std::vector<Tuple> tuples);
 
+  /// Drops every tuple from index `n` on (optimizer passes compact the
+  /// kept tuples to the front in place, then truncate).
+  void truncate(std::size_t n);
+
   /// Throws bm::Error if any invariant is violated:
   ///  - tuple operands reference earlier tuples only,
   ///  - Load/Store variables are < num_vars,

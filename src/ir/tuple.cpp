@@ -6,16 +6,6 @@
 
 namespace bm {
 
-TupleId Operand::tuple_id() const {
-  BM_REQUIRE(is_tuple(), "operand is not a tuple reference");
-  return static_cast<TupleId>(value);
-}
-
-std::int64_t Operand::const_value() const {
-  BM_REQUIRE(is_const(), "operand is not a constant");
-  return value;
-}
-
 Tuple Tuple::load(std::uint32_t uid, VarId var) {
   Tuple t;
   t.uid = uid;
@@ -41,22 +31,6 @@ Tuple Tuple::binary(std::uint32_t uid, Opcode op, Operand lhs, Operand rhs) {
   t.lhs = lhs;
   t.rhs = rhs;
   return t;
-}
-
-int Tuple::operand_count() const {
-  if (is_load()) return 0;
-  if (is_store()) return 1;
-  return 2;
-}
-
-const Operand& Tuple::operand(int i) const {
-  BM_REQUIRE(i >= 0 && i < operand_count(), "operand index out of range");
-  return i == 0 ? lhs : rhs;
-}
-
-Operand& Tuple::operand(int i) {
-  BM_REQUIRE(i >= 0 && i < operand_count(), "operand index out of range");
-  return i == 0 ? lhs : rhs;
 }
 
 std::string var_name(VarId v) {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "ir/opcode.hpp"
+#include "support/assert.hpp"
 
 namespace bm {
 
@@ -31,8 +32,14 @@ struct Operand {
 
   bool is_tuple() const { return kind == Kind::kTuple; }
   bool is_const() const { return kind == Kind::kConst; }
-  TupleId tuple_id() const;
-  std::int64_t const_value() const;
+  TupleId tuple_id() const {
+    BM_REQUIRE(is_tuple(), "operand is not a tuple reference");
+    return static_cast<TupleId>(value);
+  }
+  std::int64_t const_value() const {
+    BM_REQUIRE(is_const(), "operand is not a constant");
+    return value;
+  }
 
   bool operator==(const Operand& o) const = default;
 };
@@ -55,10 +62,16 @@ struct Tuple {
   bool is_binary() const { return is_binary_op(op); }
 
   /// Number of value operands (0 for Load, 1 for Store, 2 for binary).
-  int operand_count() const;
+  int operand_count() const { return is_load() ? 0 : is_store() ? 1 : 2; }
   /// The i-th value operand; i < operand_count().
-  const Operand& operand(int i) const;
-  Operand& operand(int i);
+  const Operand& operand(int i) const {
+    BM_REQUIRE(i >= 0 && i < operand_count(), "operand index out of range");
+    return i == 0 ? lhs : rhs;
+  }
+  Operand& operand(int i) {
+    BM_REQUIRE(i >= 0 && i < operand_count(), "operand index out of range");
+    return i == 0 ? lhs : rhs;
+  }
 };
 
 /// Human-readable variable name: a, b, ..., z, v26, v27, ...

@@ -1,27 +1,49 @@
 #include "opt/passes.hpp"
 
-#include <map>
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <optional>
-#include <tuple>
-#include <vector>
+#include <utility>
 
 #include "support/assert.hpp"
+#include "support/scratch.hpp"
 
 namespace bm {
 
 namespace {
 
-/// Key for value numbering: opcode + canonicalized operands. Operands are
-/// encoded as (is_const, value) pairs; commutative operations sort them.
-using ValueKey =
-    std::tuple<Opcode, bool, std::int64_t, bool, std::int64_t, VarId>;
+std::uint64_t mix64(std::uint64_t x) {  // splitmix64 finalizer
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
-ValueKey make_key(const Tuple& t) {
-  if (t.is_load()) return {t.op, false, 0, false, 0, t.var};
-  std::pair<bool, std::int64_t> a{t.lhs.is_const(), t.lhs.value};
-  std::pair<bool, std::int64_t> b{t.rhs.is_const(), t.rhs.value};
+std::uint64_t operand_bits(const Operand& o) {
+  return (static_cast<std::uint64_t>(o.value) << 1) | (o.is_const() ? 1 : 0);
+}
+
+/// Value-numbering hash: opcode + operands (a Load: its variable). A
+/// commutative operation hashes its operands as an unordered pair.
+std::uint64_t value_hash(const Tuple& t) {
+  const auto op = static_cast<std::uint64_t>(t.op);
+  if (t.is_load()) return mix64((op << 56) ^ t.var);
+  std::uint64_t a = operand_bits(t.lhs);
+  std::uint64_t b = operand_bits(t.rhs);
   if (is_commutative(t.op) && b < a) std::swap(a, b);
-  return {t.op, a.first, a.second, b.first, b.second, 0};
+  return mix64(a ^ mix64(b ^ (op << 56)));
+}
+
+/// True if the (non-store) tuples compute the same value: same opcode and
+/// operands (in either order for a commutative operation), or Loads of the
+/// same variable.
+bool same_value(const Tuple& x, const Tuple& y) {
+  if (x.op != y.op) return false;
+  if (x.is_load()) return x.var == y.var;
+  if (x.lhs == y.lhs && x.rhs == y.rhs) return true;
+  return is_commutative(x.op) && x.lhs == y.rhs && x.rhs == y.lhs;
 }
 
 bool is_const_val(const Operand& o, std::int64_t v) {
@@ -76,112 +98,131 @@ std::optional<Operand> simplify(const Tuple& t) {
 
 OptStats forward_rewrite(Program& prog, const OptOptions& options) {
   OptStats stats;
-  std::vector<Tuple> out;
-  out.reserve(prog.size());
+  const std::size_t n = prog.size();
   // For each old tuple id: its replacement operand (a new-id tuple ref or a
   // constant).
-  std::vector<Operand> result(prog.size());
-  std::map<ValueKey, TupleId> seen;  // value numbering over kept tuples
+  ScratchVec<Operand> result;
+  result->resize(n);
+  // Per variable: the new id of its latest Store, for store→load forwarding.
+  ScratchVec<TupleId> last_store;
+  last_store->assign(prog.num_vars(), kInvalidTuple);
+  // Value numbering over kept tuples: open addressing, linear probing, load
+  // factor ≤ 1/2. Slots hold new ids; kInvalidTuple marks an empty slot.
+  ScratchVec<TupleId> table;
+  const std::size_t mask = std::bit_ceil(std::max<std::size_t>(2 * n, 16)) - 1;
+  table->assign(mask + 1, kInvalidTuple);
 
-  auto resolve = [&](Operand o) -> Operand {
-    if (o.is_tuple()) return result[o.tuple_id()];
-    return o;
-  };
-
-  for (std::size_t i = 0; i < prog.size(); ++i) {
+  // Kept tuples are compacted in place: the write index never passes the
+  // read index, and new ids below it already hold rewritten tuples.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     Tuple t = prog[i];
-    for (int k = 0; k < t.operand_count(); ++k)
-      t.operand(k) = resolve(t.operand(k));
+    for (int k = 0; k < t.operand_count(); ++k) {
+      Operand& o = t.operand(k);
+      if (o.is_tuple()) o = (*result)[static_cast<TupleId>(o.value)];
+    }
 
     if (t.is_binary() && t.lhs.is_const() && t.rhs.is_const()) {
-      result[i] = Operand::constant(
+      (*result)[i] = Operand::constant(
           fold_binary(t.op, t.lhs.const_value(), t.rhs.const_value()));
       ++stats.folded;
       continue;
     }
     if (options.algebraic) {
       if (auto simplified = simplify(t)) {
-        result[i] = *simplified;
+        (*result)[i] = *simplified;
         ++stats.simplified;
         continue;
       }
     }
-    if (!t.is_store()) {
-      const ValueKey key = make_key(t);
-      const auto it = seen.find(key);
-      if (it != seen.end()) {
-        result[i] = Operand::tuple(it->second);
-        ++stats.cse;
-        continue;
-      }
-      const auto new_id = static_cast<TupleId>(out.size());
-      seen.emplace(key, new_id);
-      result[i] = Operand::tuple(new_id);
-      out.push_back(t);
+    if (t.is_store()) {
+      (*last_store)[t.var] = static_cast<TupleId>(kept);
+      (*result)[i] = Operand::constant(0);  // no value; never referenced
+      prog[kept++] = t;
       continue;
     }
-    // Store: kept as-is (no value produced).
-    result[i] = Operand::constant(0);  // never referenced
-    out.push_back(t);
+    if (t.is_load() && (*last_store)[t.var] != kInvalidTuple) {
+      // A reload after a store reads the stored value.
+      (*result)[i] = prog[(*last_store)[t.var]].lhs;
+      ++stats.cse;
+      continue;
+    }
+    std::size_t slot = value_hash(t) & mask;
+    while ((*table)[slot] != kInvalidTuple &&
+           !same_value(prog[(*table)[slot]], t))
+      slot = (slot + 1) & mask;
+    if ((*table)[slot] != kInvalidTuple) {
+      (*result)[i] = Operand::tuple((*table)[slot]);
+      ++stats.cse;
+      continue;
+    }
+    (*table)[slot] = static_cast<TupleId>(kept);
+    (*result)[i] = Operand::tuple(static_cast<TupleId>(kept));
+    prog[kept++] = t;
   }
-  prog.replace_all(std::move(out));
+  prog.truncate(kept);
   return stats;
 }
 
 std::size_t dead_code_eliminate(Program& prog) {
   const std::size_t n = prog.size();
-  std::vector<bool> live(n, false);
+  // remap[i]: kInvalidTuple while tuple i is dead; 0 once it is found live;
+  // its new id after compaction.
+  ScratchVec<TupleId> remap;
+  remap->assign(n, kInvalidTuple);
 
   // Roots: the last store of each variable is the block's observable output.
-  std::vector<std::optional<std::size_t>> last_store(prog.num_vars());
-  for (std::size_t i = 0; i < n; ++i)
-    if (prog[i].is_store()) last_store[prog[i].var] = i;
-  for (const auto& idx : last_store)
-    if (idx) live[*idx] = true;
+  {
+    ScratchVec<TupleId> last_store;
+    last_store->assign(prog.num_vars(), kInvalidTuple);
+    for (std::size_t i = 0; i < n; ++i)
+      if (prog[i].is_store())
+        (*last_store)[prog[i].var] = static_cast<TupleId>(i);
+    for (const TupleId idx : *last_store)
+      if (idx != kInvalidTuple) (*remap)[idx] = 0;
+  }
 
   // Backward propagation through operand edges.
   for (std::size_t i = n; i-- > 0;) {
-    if (!live[i]) continue;
+    if ((*remap)[i] == kInvalidTuple) continue;
     const Tuple& t = prog[i];
     for (int k = 0; k < t.operand_count(); ++k)
-      if (t.operand(k).is_tuple()) live[t.operand(k).tuple_id()] = true;
+      if (t.operand(k).is_tuple()) (*remap)[t.operand(k).tuple_id()] = 0;
   }
 
-  std::vector<Tuple> out;
-  out.reserve(n);
-  std::vector<TupleId> remap(n, kInvalidTuple);
+  // Compact in place; operands reference earlier (already renumbered) ids.
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!live[i]) continue;
+    if ((*remap)[i] == kInvalidTuple) continue;
     Tuple t = prog[i];
     for (int k = 0; k < t.operand_count(); ++k) {
       Operand& o = t.operand(k);
       if (o.is_tuple()) {
-        BM_ASSERT_INTERNAL(remap[o.tuple_id()] != kInvalidTuple,
+        const TupleId to = (*remap)[static_cast<TupleId>(o.value)];
+        BM_ASSERT_INTERNAL(to != kInvalidTuple,
                            "live tuple references dead tuple");
-        o = Operand::tuple(remap[o.tuple_id()]);
+        o = Operand::tuple(to);
       }
     }
-    remap[i] = static_cast<TupleId>(out.size());
-    out.push_back(t);
+    (*remap)[i] = static_cast<TupleId>(kept);
+    prog[kept++] = t;
   }
-  const std::size_t removed = n - out.size();
-  prog.replace_all(std::move(out));
-  return removed;
+  prog.truncate(kept);
+  return n - kept;
 }
 
+// One round reaches the fixpoint. DCE only deletes tuples and renumbers the
+// rest monotonically, which preserves every property forward_rewrite leaves
+// behind: no binary tuple has two constant operands, none matches an
+// identity, kept values are pairwise distinct, and no Load follows a Store
+// to its variable. A second forward_rewrite therefore maps every tuple to
+// itself, and a second DCE finds the same roots with everything reachable.
+// tests/opt_test.cpp checks this against a loop-to-fixpoint oracle.
 OptStats optimize(Program& prog, const OptOptions& options) {
-  OptStats total;
-  for (;;) {
-    const OptStats s = forward_rewrite(prog, options);
-    const std::size_t dead = dead_code_eliminate(prog);
-    total.folded += s.folded;
-    total.simplified += s.simplified;
-    total.cse += s.cse;
-    total.dead += dead;
-    if (s.total_removed() + dead == 0) break;
-  }
+  OptStats stats = forward_rewrite(prog, options);
+  stats.dead = dead_code_eliminate(prog);
   prog.validate();
-  return total;
+  return stats;
 }
 
 }  // namespace bm

@@ -13,7 +13,7 @@ namespace bm {
 struct OptStats {
   std::size_t folded = 0;      ///< tuples replaced by constants
   std::size_t simplified = 0;  ///< algebraic identities applied
-  std::size_t cse = 0;         ///< tuples removed as common subexpressions
+  std::size_t cse = 0;         ///< common subexpressions and reloads removed
   std::size_t dead = 0;        ///< tuples removed as dead code
 
   std::size_t total_removed() const { return folded + simplified + cse + dead; }
@@ -28,9 +28,11 @@ struct OptOptions {
   bool algebraic = false;
 };
 
-/// One forward rewriting pass: folding + CSE (+ algebraic identities when
-/// enabled). Removed tuples' uses are rewritten to their replacement
-/// operand. The program remains valid (validate() passes) afterwards.
+/// One forward rewriting pass: folding + CSE + store→load forwarding (+
+/// algebraic identities when enabled). A Load of a variable after a Store to
+/// it resolves to the stored operand; other Loads are numbered by variable.
+/// Removed tuples' uses are rewritten to their replacement operand. The
+/// program remains valid (validate() passes) afterwards.
 OptStats forward_rewrite(Program& prog, const OptOptions& options = {});
 
 /// Removes tuples whose results are unobservable. The roots are the last
@@ -39,7 +41,8 @@ OptStats forward_rewrite(Program& prog, const OptOptions& options = {});
 /// and unused loads.
 std::size_t dead_code_eliminate(Program& prog);
 
-/// Full pipeline to fixpoint. Returns accumulated stats.
+/// Full pipeline: one forward_rewrite, then one dead_code_eliminate — which
+/// already is the fixpoint (passes.cpp). Returns the combined stats.
 OptStats optimize(Program& prog, const OptOptions& options = {});
 
 }  // namespace bm

@@ -1,8 +1,8 @@
-// Pooled-scratch accounting: after a warmup pass, the per-seed scheduling
-// pipeline must run entirely out of the thread-local arenas — zero pool
-// misses and zero capacity growth, i.e. no heap allocation for scratch
-// buffers inside the seed loop. The `mem.scratch.*` obs counters are the
-// witness (see support/scratch.hpp).
+// Pooled-scratch accounting: after a warmup pass, the per-seed synthesis
+// and scheduling pipeline must run entirely out of the thread-local arenas —
+// zero pool misses and zero capacity growth, i.e. no heap allocation for
+// scratch buffers inside the seed loop. The `mem.scratch.*` obs counters
+// are the witness (see support/scratch.hpp).
 #include <gtest/gtest.h>
 
 #include "codegen/synthesize.hpp"
@@ -57,6 +57,27 @@ TEST(ScratchArenaTest, SteadyStateSeedLoopAllocatesNothing) {
       << "a seed-loop code path allocated a scratch buffer per call";
   EXPECT_EQ(scratch_grows() - grow_before, 0)
       << "a pooled buffer regrew inside the steady-state seed loop";
+}
+
+// The §2.2 optimizer's pooled buffers (operand map, store index, value
+// table, DCE remap) obey the same rule: once warm, synthesizing more blocks
+// of one shape allocates no scratch.
+TEST(ScratchArenaTest, SteadyStateSynthesisAllocatesNothing) {
+  GeneratorConfig gen;
+  gen.num_statements = 120;
+  gen.num_variables = 10;
+  Rng warm(1);
+  for (int i = 0; i < 50; ++i) synthesize_benchmark(gen, warm);
+  const double miss_before = scratch_misses();
+  const double grow_before = scratch_grows();
+  ASSERT_GT(miss_before, 0) << "the optimizer never used ScratchVec";
+
+  Rng rng(2);
+  for (int i = 0; i < 200; ++i) synthesize_benchmark(gen, rng);
+  EXPECT_EQ(scratch_misses() - miss_before, 0)
+      << "synthesis allocated a scratch buffer per call";
+  EXPECT_EQ(scratch_grows() - grow_before, 0)
+      << "a pooled optimizer buffer regrew in steady state";
 }
 
 // summarize_completion runs its uniform draws several lanes per schedule
